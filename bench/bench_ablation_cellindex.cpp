@@ -12,6 +12,9 @@
 /// small hardware modification." This bench measures (a) directly from the
 /// simulator's useful-pair counters, sweeps the cell-margin knob, and
 /// models what each hypothetical modification would buy the future machine.
+/// A last table sets the native backend's skin-padded pair list (N^2 mode,
+/// N = 4096) beside the 27-cell scan, both against the conventional optimum
+/// N N_int of eq. 5.
 ///
 ///   ./bench_ablation_cellindex [--cells 4]
 
@@ -21,8 +24,11 @@
 #include <string>
 
 #include "core/lattice.hpp"
+#include "ewald/flops.hpp"
 #include "host/mdm_force_field.hpp"
 #include "mdgrape2/system.hpp"
+#include "native/real_kernel.hpp"
+#include "native/soa.hpp"
 #include "obs/bench_report.hpp"
 #include "perf/table4.hpp"
 #include "util/cli.hpp"
@@ -34,12 +40,16 @@ int main(int argc, char** argv) {
   const CommandLine cli(argc, argv);
   const int cells = static_cast<int>(cli.get_int("cells", 4));
 
-  auto system = make_nacl_crystal(cells);
-  Random rng(6);
-  for (auto& r : system.positions())
-    r += Vec3{rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3),
-              rng.uniform(-0.3, 0.3)};
-  system.wrap_positions();
+  const auto melt = [](int cells_per_side) {
+    auto sys = make_nacl_crystal(cells_per_side);
+    Random rng(6);
+    for (auto& r : sys.positions())
+      r += Vec3{rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3),
+                rng.uniform(-0.3, 0.3)};
+    sys.wrap_positions();
+    return sys;
+  };
+  const auto system = melt(cells);
   // A shorter-than-mandatory cutoff (r_cut = L/5) leaves room for the
   // cell-margin sweep (cell side up to 1.5 r_cut still fits >= 3 cells).
   const EwaldAccuracy accuracy;
@@ -61,6 +71,9 @@ int main(int argc, char** argv) {
                    "(cell side = margin * r_cut)");
   sweep.set_header({"margin", "evaluated/particle", "useful/particle",
                     "waste factor", "27(m r)^3 rho model"});
+  const double grape_n_int =
+      n_int(double(system.size()), system.box(), params.r_cut);
+  double grape_per_i = 0.0, grape_model = 0.0;  // margin 1.0
   for (double margin : {1.0, 1.1, 1.25, 1.5}) {
     mdgrape2::Mdgrape2System machine(
         {.clusters = 1, .boards_per_cluster = 2, .cell_margin = margin});
@@ -89,6 +102,10 @@ int main(int argc, char** argv) {
     report.add(prefix + "evaluated_per_particle", per_i, "pairs");
     report.add(prefix + "useful_per_particle", useful_i, "pairs");
     report.add(prefix + "waste_factor", per_i / useful_i, "x");
+    if (margin == 1.0) {
+      grape_per_i = per_i;
+      grape_model = model;
+    }
   }
   std::printf("%s\n", sweep.str().c_str());
 
@@ -98,6 +115,54 @@ int main(int argc, char** argv) {
               "Newton's-third-law factor 2 gives the paper's N_int_g/N_int "
               "= %.1f (\"about 13 times larger\").\n\n",
               geometric, 2.0 * geometric);
+
+  // --- measured: the native pair list against the same optimum ----------
+  // software_parameters at N = 4096 leaves the native kernel's grid under
+  // 3 cells per side, so its sweep evaluates the skin-padded Newton pair
+  // list: each pair within r_cut + skin once. Against N N_int that is about
+  // ((r_cut + skin) / r_cut)^3; the 27-cell scan pays N_int_g / N_int.
+  {
+    const auto big = melt(8);
+    const double n = double(big.size());
+    const auto sw = software_parameters(n, big.box());
+    native::NativeRealKernel::Config rc;
+    rc.box = big.box();
+    rc.beta = sw.alpha / big.box();
+    rc.r_cut = sw.r_cut;
+    native::NativeRealKernel kernel(rc);
+    native::SoaParticles soa;
+    soa.sync(big);
+    std::vector<Vec3> forces(big.size(), Vec3{});
+    kernel.sweep(soa, forces);
+    const double native_n_int = n_int(n, big.box(), sw.r_cut);
+    const double native_per_i = double(kernel.last_candidates()) / n;
+    const double skin_model =
+        std::pow(1.0 + native::NativeRealKernel::kListSkin / sw.r_cut, 3);
+
+    AsciiTable vs("Evaluated pair operations vs the conventional optimum "
+                  "N N_int (eq. 5)");
+    vs.set_header({"counting", "N", "evaluated/particle", "N_int",
+                   "measured/optimal", "model"});
+    vs.add_row({"MDGRAPE-2 27-cell scan (margin 1.00)",
+                std::to_string(system.size()), format_fixed(grape_per_i, 1),
+                format_fixed(grape_n_int, 1),
+                format_fixed(grape_per_i / grape_n_int, 2),
+                format_fixed(grape_model / grape_n_int, 2)});
+    std::string label = "native pair list (r_cut + ";
+    label += format_fixed(native::NativeRealKernel::kListSkin, 1);
+    label += " A skin)";
+    vs.add_row({label, std::to_string(big.size()),
+                format_fixed(native_per_i, 1),
+                format_fixed(native_n_int, 1),
+                format_fixed(native_per_i / native_n_int, 2),
+                format_fixed(skin_model, 2)});
+    std::printf("%s\n", vs.str().c_str());
+    report.add("grape.ops_over_optimal", grape_per_i / grape_n_int, "x");
+    report.add("native.candidates_per_particle", native_per_i, "pairs");
+    report.add("native.useful_per_particle", double(kernel.last_pairs()) / n,
+               "pairs");
+    report.add("native.ops_over_optimal", native_per_i / native_n_int, "x");
+  }
 
   // --- modeled: what each hardware modification buys ---------------------
   using namespace mdm::perf;

@@ -7,7 +7,9 @@
 ///
 /// Exits non-zero if the native real-space kernel is not at least 3x faster
 /// than the MDGRAPE-2 emulation single-thread, or if a native kernel
-/// allocates in the steady state — these are the PR's performance contract.
+/// allocates in the steady state — in cell mode, in the N^2 pair-list mode
+/// across list rebuilds, or in k-space. This is the backend's performance
+/// contract.
 ///
 ///   ./bench_backend [--cells 4] [--reps 5]
 
@@ -23,6 +25,7 @@
 #include "core/lattice.hpp"
 #include "core/tosi_fumi.hpp"
 #include "ewald/ewald.hpp"
+#include "ewald/parameters.hpp"
 #include "ewald/flops.hpp"
 #include "host/mdm_force_field.hpp"
 #include "mdgrape2/gtables.hpp"
@@ -144,6 +147,15 @@ int main(int argc, char** argv) {
   table.set_header({"kernel", "emulator s", "native s", "speedup",
                     "native allocs"});
   bool contract_ok = true;
+  const auto kernel_config = [&](const EwaldParameters& p) {
+    native::NativeRealKernel::Config rc;
+    rc.box = box;
+    rc.beta = p.alpha / box;
+    rc.r_cut = p.r_cut;
+    rc.include_tosi_fumi = true;
+    rc.tosi_fumi = TosiFumiParameters::nacl();
+    return rc;
+  };
 
   // ---- real space: MDGRAPE-2 emulation vs the fused native sweep ---------
   double real_speedup = 0.0;
@@ -163,13 +175,7 @@ int main(int argc, char** argv) {
     });
 
     native::SoaParticles soa;
-    native::NativeRealKernel::Config rc;
-    rc.box = box;
-    rc.beta = beta;
-    rc.r_cut = params.r_cut;
-    rc.include_tosi_fumi = true;
-    rc.tosi_fumi = TosiFumiParameters::nacl();
-    native::NativeRealKernel kernel(rc);
+    native::NativeRealKernel kernel(kernel_config(params));
     const Sample nat = measure(reps, [&] {
       std::fill(forces.begin(), forces.end(), Vec3{});
       soa.sync(sys);
@@ -197,6 +203,43 @@ int main(int argc, char** argv) {
                emu.s_per_eval * 1e9 / (n * flops.n_int_g), "ns");
     report.add("real.native_ns_per_pair",
                nat.s_per_eval * 1e9 / double(native_pairs), "ns");
+  }
+
+  // ---- real space, N^2 mode: the skin-padded pair list ------------------
+  // software_parameters leaves the grid under 3 cells per side, so sweep()
+  // walks its pair list. The reps alternate between the melt and a copy
+  // with one ion moved by more than half the skin, so every sweep —
+  // the timed ones included — rebuilds the list.
+  {
+    const auto sw = software_parameters(n, box);
+    auto moved = sys;
+    moved.positions()[0].x += 0.6 * native::NativeRealKernel::kListSkin;
+    moved.wrap_positions();
+    native::SoaParticles soa;
+    native::NativeRealKernel kernel(kernel_config(sw));
+    int sweeps = 0;
+    const Sample nat = measure(reps, [&] {
+      std::fill(forces.begin(), forces.end(), Vec3{});
+      soa.sync(sweeps++ % 2 ? moved : sys);
+      kernel.sweep(soa, forces);
+    });
+    table.add_row({"real_space_n2", "-", format_fixed(nat.s_per_eval, 5), "-",
+                   format_fixed(nat.allocs_per_eval, 1)});
+    report.add("real_n2.native_s_per_eval", nat.s_per_eval, "s");
+    report.add("real_n2.native_pairs", double(kernel.last_pairs()), "pairs");
+    report.add("real_n2.candidates", double(kernel.last_candidates()),
+               "pairs");
+    report.add("real_n2.list_builds", double(kernel.list_builds()), "count");
+    report.add("real_n2.native_ns_per_pair",
+               nat.s_per_eval * 1e9 / double(kernel.last_pairs()), "ns");
+    report.add("real_n2.native_steady_allocs", nat.allocs_per_eval, "count");
+    if (nat.allocs_per_eval > 0.0) contract_ok = false;
+    if (!kernel.cells().use_n2_fallback(sw.r_cut) ||
+        kernel.list_builds() != static_cast<std::uint64_t>(sweeps)) {
+      std::printf("bench_backend: the N^2 case did not rebuild its pair "
+                  "list on every sweep\n");
+      contract_ok = false;
+    }
   }
 
   // ---- wavenumber: WINE-2 emulation vs the blocked recurrence kernels ----

@@ -1,6 +1,7 @@
 #include "native/real_kernel.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <numbers>
@@ -16,11 +17,47 @@ namespace {
 
 const double kTwoOverSqrtPi = 2.0 / std::sqrt(std::numbers::pi);
 constexpr std::size_t kNoSkip = std::numeric_limits<std::size_t>::max();
+/// Pair-list rebuild trigger: half the skin, less a margin that absorbs the
+/// rounding of the distance arithmetic (~1e-14 A at these lengths).
+constexpr double kMaxDrift = 0.5 * NativeRealKernel::kListSkin - 1e-9;
+/// Most list entries evaluated per pair_range call in N^2 mode (the store-
+/// buffer stride there), so the buffers no longer scale with N.
+constexpr std::size_t kListBlock = 256;
+
+/// Minimum image of a coordinate difference by compare-blend: coordinates
+/// are wrapped into [0, box), so at most one correction applies. Both
+/// masks read the input d, which lets GCC vectorize a loop around this
+/// (the list-build distance pass; the pair loop stays scalar, see the
+/// header); for |d| < box it equals correcting d in place, bit for bit.
+inline double min_image(double d, double box, double half) {
+  const double lo = d < -half ? box : 0.0;
+  const double hi = d > half ? box : 0.0;
+  return d + lo - hi;
+}
+
+/// Run fn(k) for every chunk k: on the pool when it has workers, inline
+/// otherwise. Chunks write disjoint state, so the result is the same.
+template <typename Fn>
+void for_each_chunk(ThreadPool* pool, int chunks, Fn&& fn) {
+  const auto count = static_cast<std::size_t>(chunks);
+  if (pool && pool->size() > 1) {
+    pool_for(
+        *pool, count,
+        [&](unsigned, std::size_t begin, std::size_t end) {
+          for (std::size_t k = begin; k < end; ++k) fn(k);
+        },
+        /*min_parallel=*/0);
+  } else {
+    for (std::size_t k = 0; k < count; ++k) fn(k);
+  }
+}
 
 }  // namespace
 
 NativeRealKernel::NativeRealKernel(const Config& config)
-    : cfg_(config), cells_(config.box, config.r_cut) {
+    : cfg_(config),
+      cells_(config.box, config.r_cut),
+      n2_(cells_.use_n2_fallback(config.r_cut)) {
   if (!(cfg_.box > 0.0) || !(cfg_.beta > 0.0) || !(cfg_.r_cut > 0.0))
     throw std::invalid_argument("NativeRealKernel: bad parameters");
   if (cfg_.r_cut > 0.5 * cfg_.box + 1e-12)
@@ -37,17 +74,18 @@ NativeRealKernel::NativeRealKernel(const Config& config)
   }
 }
 
-/// The vectorizable inner loop: one i particle against the contiguous slot
-/// range [jb, je). Two passes — a straight-line compute pass with only
-/// unit-stride loads/stores (auto-vectorizes), then a scalar sum of the
-/// 6-lane store buffer (strict-FP reductions do not vectorize; this keeps
-/// the summation order explicit and deterministic).
-template <bool kNewton>
+/// The inner loop: one i particle against slots[0..len). Two passes — a
+/// straight-line compute pass (loads are unit-stride for a Run), then a
+/// scalar sum of the 6-lane store buffer (strict-FP reductions do not
+/// vectorize; this keeps the summation order explicit and deterministic).
+/// Splitting one i's partners over several calls leaves every sum's order,
+/// and so every bit, unchanged.
+template <bool kNewton, typename Slots>
 void NativeRealKernel::pair_range(double xi, double yi, double zi,
                                   double qi_ke, const double* cb,
                                   const double* c6r, const double* d8r,
-                                  const double* shr, std::size_t jb,
-                                  std::size_t je, std::size_t skip,
+                                  const double* shr, Slots slots,
+                                  std::size_t len, std::size_t skip,
                                   double* jfx, double* jfy, double* jfz,
                                   double* tmp, Acc& acc) const {
   const double box = cfg_.box;
@@ -55,7 +93,6 @@ void NativeRealKernel::pair_range(double xi, double yi, double zi,
   const double cutoff2 = cutoff2_;
   const double beta = cfg_.beta;
   const double inv_rho = inv_rho_;
-  const std::size_t len = je - jb;
   double* t_fx = tmp;
   double* t_fy = tmp + tmp_stride_;
   double* t_fz = tmp + 2 * tmp_stride_;
@@ -64,18 +101,10 @@ void NativeRealKernel::pair_range(double xi, double yi, double zi,
   double* t_cnt = tmp + 5 * tmp_stride_;
 
   for (std::size_t k = 0; k < len; ++k) {
-    const std::size_t j = jb + k;
-    // Minimum image by compare-blend: coordinates are wrapped into
-    // [0, box), so one correction per axis suffices.
-    double dx = xi - xs_[j];
-    double dy = yi - ys_[j];
-    double dz = zi - zs_[j];
-    dx += dx < -half ? box : 0.0;
-    dx -= dx > half ? box : 0.0;
-    dy += dy < -half ? box : 0.0;
-    dy -= dy > half ? box : 0.0;
-    dz += dz < -half ? box : 0.0;
-    dz -= dz > half ? box : 0.0;
+    const std::size_t j = slots[k];
+    const double dx = min_image(xi - xs_[j], box, half);
+    const double dy = min_image(yi - ys_[j], box, half);
+    const double dz = min_image(zi - zs_[j], box, half);
     const double r2 = dx * dx + dy * dy + dz * dz;
     const bool in = (r2 < cutoff2) & (j != skip);
     // Masked-out lanes (incl. the self slot at r = 0) evaluate at r = 1 so
@@ -130,8 +159,8 @@ void NativeRealKernel::prepare(const SoaParticles& soa) {
   const std::size_t n = soa.size();
   if (std::abs(soa.box - cfg_.box) > 1e-12)
     throw std::invalid_argument("NativeRealKernel: box mismatch");
-  cells_.build_auto(soa.pos, cfg_.r_cut);
-  n2_ = cells_.use_n2_fallback(cfg_.r_cut);
+  // The N^2 traversals never read the bins.
+  if (!n2_) cells_.build_auto(soa.pos, cfg_.r_cut);
   xs_.resize(n);
   ys_.resize(n);
   zs_.resize(n);
@@ -187,10 +216,11 @@ void NativeRealKernel::prepare(const SoaParticles& soa) {
   }
 }
 
-void NativeRealKernel::ensure_scratch(std::size_t n, int chunks) {
-  // Store buffers must cover the longest j-range: a full row in N^2 mode,
-  // one cell's occupancy otherwise.
-  std::size_t stride = n;
+void NativeRealKernel::ensure_scratch(std::size_t n, int chunks,
+                                      std::size_t n2_stride) {
+  // Store buffers must cover the longest j-range: n2_stride slots in N^2
+  // mode, one cell's occupancy otherwise.
+  std::size_t stride = n2_stride;
   if (!n2_) {
     std::uint32_t max_occ = 1;
     for (int c = 0; c < cells_.cell_count(); ++c)
@@ -209,6 +239,60 @@ void NativeRealKernel::ensure_scratch(std::size_t n, int chunks) {
   dirty_.assign(static_cast<std::size_t>(chunks), {0, 0});
   tally_.assign(static_cast<std::size_t>(chunks), {});
   tmp_.resize(static_cast<std::size_t>(chunks) * 6 * tmp_stride_);
+  if (n2_)
+    block_slots_.resize(static_cast<std::size_t>(chunks) * tmp_stride_);
+}
+
+bool NativeRealKernel::maintain_list(const SoaParticles& soa, int chunks,
+                                     ThreadPool* pool) {
+  const std::size_t n = soa.size();
+  if (list_valid_ && anchor_.size() == n) {
+    double max2 = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+      max2 = std::max(max2,
+                      norm2(minimum_image(soa.pos[i], anchor_[i], cfg_.box)));
+    if (max2 <= kMaxDrift * kMaxDrift) return false;
+  }
+  const std::size_t words = (n + 63) / 64;
+  if (anchor_.size() != n) {
+    row_word_.resize(n + 1);
+    for (std::size_t i = 0; i < n; ++i)
+      row_word_[i + 1] = row_word_[i] + words - (i + 1) / 64;
+    list_.resize(row_word_[n]);
+  }
+  anchor_.assign(soa.pos.begin(), soa.pos.end());
+  // Distance-only pass, rows split like the sweep's chunks: bit j of row i
+  // is set when the pair's minimum image, in pair_range's arithmetic, is
+  // below r_cut + kListSkin. Each row word's r^2 values pass through the
+  // chunk's store buffer, so the distance loop vectorizes.
+  const double box = cfg_.box;
+  const double half = 0.5 * box;
+  const double r_list2 = (cfg_.r_cut + kListSkin) * (cfg_.r_cut + kListSkin);
+  for_each_chunk(pool, chunks, [&](std::size_t k) {
+    double* r2 = tmp_.data() + k * 6 * tmp_stride_;
+    const std::size_t i_end = (k + 1) * n / static_cast<std::size_t>(chunks);
+    for (std::size_t i = k * n / static_cast<std::size_t>(chunks); i < i_end;
+         ++i) {
+      const std::size_t w0 = (i + 1) / 64;
+      for (std::size_t w = w0; w < words; ++w) {
+        const std::size_t jb = std::max(64 * w, i + 1);
+        const std::size_t len = std::min(64 * w + 64, n) - jb;
+        for (std::size_t m = 0; m < len; ++m) {
+          const double dx = min_image(xs_[i] - xs_[jb + m], box, half);
+          const double dy = min_image(ys_[i] - ys_[jb + m], box, half);
+          const double dz = min_image(zs_[i] - zs_[jb + m], box, half);
+          r2[m] = dx * dx + dy * dy + dz * dz;
+        }
+        std::uint64_t bits = 0;
+        for (std::size_t m = 0; m < len; ++m)
+          bits |= std::uint64_t{r2[m] < r_list2} << ((jb + m) % 64);
+        list_[row_word_[i] + w - w0] = bits;
+      }
+    }
+  });
+  list_valid_ = true;
+  ++list_builds_;
+  return true;
 }
 
 void NativeRealKernel::run_chunk(std::size_t k, int chunks, std::size_t n) {
@@ -235,15 +319,33 @@ void NativeRealKernel::run_chunk(std::size_t k, int chunks, std::size_t n) {
   };
 
   if (n2_) {
+    // Each i's list row, decoded in ascending j into blocks of at most
+    // tmp_stride_ slots (a row word adds up to 64).
+    std::uint32_t* slots = block_slots_.data() + k * tmp_stride_;
+    const std::size_t words = (n + 63) / 64;
     const std::size_t i_begin = k * n / static_cast<std::size_t>(chunks);
     const std::size_t i_end = (k + 1) * n / static_cast<std::size_t>(chunks);
     for (std::size_t i = i_begin; i < i_end; ++i) {
       const std::size_t base = static_cast<std::size_t>(ts_[i]) * n;
+      const std::uint64_t* row = list_.data() + row_word_[i];
+      const std::size_t w0 = (i + 1) / 64;
       Acc acc;
-      pair_range<true>(xs_[i], ys_[i], zs_[i], units::kCoulomb * qs_[i],
-                       cb_.data() + base, cc6_.data() + base,
-                       cd8_.data() + base, csh_.data() + base, i + 1, n,
-                       kNoSkip, jfx, jfy, jfz, tmp, acc);
+      std::size_t len = 0;
+      const auto eval = [&] {
+        pair_range<true>(xs_[i], ys_[i], zs_[i], units::kCoulomb * qs_[i],
+                         cb_.data() + base, cc6_.data() + base,
+                         cd8_.data() + base, csh_.data() + base, slots, len,
+                         kNoSkip, jfx, jfy, jfz, tmp, acc);
+        tally.candidates += len;
+        len = 0;
+      };
+      for (std::size_t w = w0; w < words; ++w) {
+        for (std::uint64_t bits = row[w - w0]; bits != 0; bits &= bits - 1)
+          slots[len++] =
+              static_cast<std::uint32_t>(64 * w + std::countr_zero(bits));
+        if (len + 64 > tmp_stride_) eval();
+      }
+      if (len != 0) eval();
       touch(static_cast<std::uint32_t>(i + 1), static_cast<std::uint32_t>(n));
       flush_i(i, acc);
     }
@@ -270,7 +372,8 @@ void NativeRealKernel::run_chunk(std::size_t k, int chunks, std::size_t n) {
         Acc acc;
         // Same-cell partners after i (each unordered pair once)...
         pair_range<true>(xs_[a], ys_[a], zs_[a], qi_ke, cb, c6r, d8r, shr,
-                         a + 1, own.end, kNoSkip, jfx, jfy, jfz, tmp, acc);
+                         Run{a + 1u}, own.end - a - 1, kNoSkip, jfx, jfy,
+                         jfz, tmp, acc);
         touch(a + 1, own.end);
         // ...then the 13 forward neighbour cells of the half stencil.
         for (const auto& off : CellList::kHalfStencil) {
@@ -279,8 +382,8 @@ void NativeRealKernel::run_chunk(std::size_t k, int chunks, std::size_t n) {
           const CellList::Range other = cells_.cell_range(nc);
           if (other.size() == 0) continue;
           pair_range<true>(xs_[a], ys_[a], zs_[a], qi_ke, cb, c6r, d8r, shr,
-                           other.begin, other.end, kNoSkip, jfx, jfy, jfz,
-                           tmp, acc);
+                           Run{other.begin}, other.size(), kNoSkip, jfx, jfy,
+                           jfz, tmp, acc);
           touch(other.begin, other.end);
         }
         flush_i(a, acc);
@@ -301,25 +404,22 @@ ForceResult NativeRealKernel::sweep(const SoaParticles& soa,
       n2_ ? n : static_cast<std::size_t>(cells_.cell_count());
   const int chunks = static_cast<int>(
       std::min<std::size_t>(CellList::kPairChunks, units ? units : 1));
-  ensure_scratch(n, chunks);
-
-  if (pool && pool->size() > 1) {
-    pool_for(
-        *pool, static_cast<std::size_t>(chunks),
-        [&](unsigned, std::size_t begin, std::size_t end) {
-          for (std::size_t k = begin; k < end; ++k) run_chunk(k, chunks, n);
-        },
-        /*min_parallel=*/0);
-  } else {
-    for (std::size_t k = 0; k < static_cast<std::size_t>(chunks); ++k)
-      run_chunk(k, chunks, n);
+  ensure_scratch(n, chunks, std::min(n, kListBlock));
+  if (n2_ && maintain_list(soa, chunks, pool)) {
+    static obs::Counter& rebuilds =
+        obs::Registry::global().counter("native.pair_list.rebuilds");
+    rebuilds.add(1);
   }
+
+  for_each_chunk(pool, chunks,
+                 [&](std::size_t k) { run_chunk(k, chunks, n); });
 
   // Chunk-ordered reduction into the caller's force array (slot -> particle
   // through the cell order); buffers are re-zeroed for the next sweep.
   const auto order = cells_.order();
   ForceResult result;
   double pairs = 0.0;
+  std::uint64_t candidates = 0;
   for (int k = 0; k < chunks; ++k) {
     double* jfx = jfx_.data() + static_cast<std::size_t>(k) * n;
     double* jfy = jfy_.data() + static_cast<std::size_t>(k) * n;
@@ -335,11 +435,16 @@ ForceResult NativeRealKernel::sweep(const SoaParticles& soa,
     result.potential += tally_[static_cast<std::size_t>(k)].pot;
     result.virial += tally_[static_cast<std::size_t>(k)].vir;
     pairs += tally_[static_cast<std::size_t>(k)].pairs;
+    candidates += tally_[static_cast<std::size_t>(k)].candidates;
   }
   last_pairs_ = static_cast<std::uint64_t>(pairs);
+  last_candidates_ = candidates;
   static obs::Counter& pair_counter =
       obs::Registry::global().counter("native.real_pairs");
+  static obs::Counter& candidate_counter =
+      obs::Registry::global().counter("native.pair_list.candidates");
   pair_counter.add(last_pairs_);
+  candidate_counter.add(candidates);
   return result;
 }
 
@@ -349,7 +454,7 @@ ForceResult NativeRealKernel::one_sided(const SoaParticles& soa,
   MDM_TRACE_SCOPE("native.real_space_one_sided");
   prepare(soa);
   const std::size_t n = soa.size();
-  ensure_scratch(n, 1);
+  ensure_scratch(n, 1, n);
   double* tmp = tmp_.data();
   ForceResult result;
   double pairs = 0.0;
@@ -361,8 +466,8 @@ ForceResult NativeRealKernel::one_sided(const SoaParticles& soa,
       pair_range<false>(xs_[slot], ys_[slot], zs_[slot],
                         units::kCoulomb * qs_[slot], cb_.data() + base,
                         cc6_.data() + base, cd8_.data() + base,
-                        csh_.data() + base, jb, je, slot, nullptr, nullptr,
-                        nullptr, tmp, acc);
+                        csh_.data() + base, Run{jb}, je - jb, slot, nullptr,
+                        nullptr, nullptr, tmp, acc);
     });
     forces[id] += Vec3{acc.fx, acc.fy, acc.fz};
     result.potential += acc.pot;

@@ -1,12 +1,12 @@
 #pragma once
 
 /// \file real_kernel.hpp
-/// Vectorized real-space pair kernel of the native backend (DESIGN.md §11).
+/// Real-space pair kernel of the native backend (DESIGN.md §11).
 ///
 /// One fused sweep evaluates the erfc-damped Ewald real-space force (paper
 /// eq. 2) and, optionally, the Tosi-Fumi short-range terms (eq. 15) — the
 /// work MDGRAPE-2 performs in three separate emulated passes. The loop body
-/// is straight-line arithmetic designed to auto-vectorize:
+/// is straight-line arithmetic written with vectorization in mind:
 ///
 ///  * particle data come from cell-sorted structure-of-arrays streams, so
 ///    a neighbour cell's particles are unit-stride loads;
@@ -20,6 +20,14 @@
 ///    with a separate accumulation pass, because GCC will not vectorize a
 ///    floating-point reduction under strict FP semantics.
 ///
+/// The pair loop does NOT auto-vectorize today: GCC 12.2 reports "not
+/// vectorized: control flow in loop" for its compute pass at -O3, at
+/// -O3 -fno-trapping-math and at -O3 -mavx2 -mfma. To check, compile this
+/// file with -fopt-info-vec-all and grep for 'in loop':
+///
+///   g++ -std=c++20 -O3 -fno-math-errno -Isrc -fopt-info-vec-all -c
+///   src/native/real_kernel.cpp -o /dev/null
+///
 /// Parallel sweeps reuse the repo's fixed-chunk discipline (CellList
 /// kPairChunks): the chunk partition depends only on the grid, j-side
 /// forces land in per-chunk buffers reduced in chunk order, so results are
@@ -27,6 +35,19 @@
 /// CellList::build_auto (half-skin displacement tracking): the native
 /// backend's accuracy contract is the envelope, not bit-equality across
 /// restarts, so it may skip rebuilds the reference path would perform.
+///
+/// When the grid is too coarse for the half stencil (r_cut > L/3), sweep()
+/// walks a skin-padded half pair list instead of all N(N-1)/2 pairs: one
+/// bit per pair i < j whose minimum image was below r_cut + kListSkin at
+/// the last build, rebuilt when any particle has drifted more than
+/// kListSkin/2, after invalidate(), or when N changes. Every pair inside
+/// r_cut is on the list, each i meets its partners in ascending j as the
+/// full row did, and a skipped pair only ever added exact zeros, so
+/// results are bit-identical to sweeping every pair, whenever the list was
+/// built. Rows are whole 64-bit words, ~N^2/16 bytes (1 MB at N = 4096;
+/// software_parameters reach this mode up to N ~ 6,200, 2.4 MB). Rows are
+/// evaluated in blocks of at most 256 entries, so the store buffers no
+/// longer scale with N and a rebuild never allocates.
 
 #include <array>
 #include <cstdint>
@@ -55,6 +76,9 @@ class NativeRealKernel {
     TosiFumiParameters tosi_fumi{};
   };
 
+  /// Verlet skin of the N^2-mode pair list, Angstrom.
+  static constexpr double kListSkin = 1.0;
+
   explicit NativeRealKernel(const Config& config);
 
   /// Newton half-stencil sweep: every unordered in-range pair once, forces
@@ -75,13 +99,18 @@ class NativeRealKernel {
 
   /// In-range pair interactions evaluated by the last sweep/one_sided call.
   std::uint64_t last_pairs() const { return last_pairs_; }
+  /// Pairs the last N^2-mode sweep evaluated (its list length; 0 in cell
+  /// mode) and the number of pair-list builds this kernel has run.
+  std::uint64_t last_candidates() const { return last_candidates_; }
+  std::uint64_t list_builds() const { return list_builds_; }
   const CellList& cells() const { return cells_; }
 
-  /// Drop the lazy cell-list anchor and cached coefficient rows; the next
-  /// sweep rebuilds from scratch. Required after checkpoint restore or any
-  /// other position teleport (see CellList::invalidate).
+  /// Drop the lazy cell-list anchor, the pair list and cached coefficient
+  /// rows; the next sweep rebuilds from scratch. Required after checkpoint
+  /// restore or any other position teleport (see CellList::invalidate).
   void invalidate() {
     cells_.invalidate();
+    list_valid_ = false;
     coef_valid_ = false;
   }
 
@@ -90,17 +119,29 @@ class NativeRealKernel {
     double fx = 0, fy = 0, fz = 0, pot = 0, vir = 0, pairs = 0;
   };
 
-  /// Maintain the cell list (build_auto) and regather the sorted streams.
-  void prepare(const SoaParticles& soa);
-  void ensure_scratch(std::size_t n, int chunks);
+  /// Slots jb, jb + 1, ...: a contiguous range, indexed like a slot list.
+  struct Run {
+    std::size_t jb;
+    std::size_t operator[](std::size_t k) const { return jb + k; }
+  };
 
-  template <bool kNewton>
+  /// Maintain the cell list (build_auto, cell mode only) and regather the
+  /// sorted streams.
+  void prepare(const SoaParticles& soa);
+  /// Size the per-chunk scratch; N^2-mode store buffers get n2_stride.
+  void ensure_scratch(std::size_t n, int chunks, std::size_t n2_stride);
+
+  /// One i particle against slots[0..len), skipping slot `skip`. `Slots`
+  /// is Run (a contiguous range) or a pointer into a decoded list row.
+  template <bool kNewton, typename Slots>
   void pair_range(double xi, double yi, double zi, double qi_ke,
                   const double* cb, const double* c6r, const double* d8r,
-                  const double* shr, std::size_t jb, std::size_t je,
+                  const double* shr, Slots slots, std::size_t len,
                   std::size_t skip, double* jfx, double* jfy, double* jfz,
                   double* tmp, Acc& acc) const;
 
+  /// N^2 mode: rebuild the pair list if stale; returns true if it ran.
+  bool maintain_list(const SoaParticles& soa, int chunks, ThreadPool* pool);
   void run_chunk(std::size_t k, int chunks, std::size_t n);
 
   Config cfg_;
@@ -112,6 +153,7 @@ class NativeRealKernel {
       shift_{};
 
   CellList cells_;
+  /// Grid too coarse for the half stencil: sweep walks the pair list.
   bool n2_ = false;
   int coef_rows_ = 0;
   bool coef_valid_ = false;
@@ -133,6 +175,7 @@ class NativeRealKernel {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> dirty_;
   struct ChunkTally {
     double pot = 0, vir = 0, pairs = 0;
+    std::uint64_t candidates = 0;
   };
   std::vector<ChunkTally> tally_;
   /// Per-chunk store buffers of the two-pass accumulation, 6 lanes each.
@@ -141,7 +184,20 @@ class NativeRealKernel {
   std::size_t scr_slots_ = 0;
   int scr_chunks_ = 0;
 
+  /// N^2-mode half pair list: row i is the bit set of partners j > i,
+  /// stored from word (i + 1) / 64 of a 64-bit-word row, so bit j % 64 of
+  /// row word j / 64 - (i + 1) / 64; row i starts at list_[row_word_[i]].
+  std::vector<std::uint64_t> list_;
+  std::vector<std::size_t> row_word_;
+  /// Positions at the last list build (the drift anchor).
+  std::vector<Vec3> anchor_;
+  bool list_valid_ = false;
+  /// Per-chunk decoded slots of one list block, [chunk * tmp_stride_ + k].
+  std::vector<std::uint32_t> block_slots_;
+
   std::uint64_t last_pairs_ = 0;
+  std::uint64_t last_candidates_ = 0;
+  std::uint64_t list_builds_ = 0;
 };
 
 }  // namespace mdm::native

@@ -51,6 +51,44 @@ double rms_rel_error(std::span<const Vec3> test, std::span<const Vec3> ref) {
   return std::sqrt(num / den);
 }
 
+native::NativeRealKernel::Config kernel_config(const ParticleSystem& system,
+                                               const EwaldParameters& params) {
+  native::NativeRealKernel::Config rc;
+  rc.box = system.box();
+  rc.beta = params.alpha / system.box();
+  rc.r_cut = params.r_cut;
+  rc.include_tosi_fumi = true;
+  rc.tosi_fumi = TosiFumiParameters::nacl();
+  return rc;
+}
+
+/// Real-space forces, potential and virial of one sweep from zero.
+struct Sweep {
+  std::vector<Vec3> forces;
+  ForceResult result;
+};
+
+Sweep sweep(native::NativeRealKernel& kernel, const ParticleSystem& system,
+            ThreadPool* pool = nullptr) {
+  native::SoaParticles soa;
+  soa.sync(system);
+  Sweep out;
+  out.forces.assign(system.size(), Vec3{});
+  out.result = kernel.sweep(soa, out.forces, pool);
+  return out;
+}
+
+void expect_bitwise_equal(const Sweep& got, const Sweep& want) {
+  ASSERT_EQ(got.forces.size(), want.forces.size());
+  for (std::size_t i = 0; i < want.forces.size(); ++i) {
+    EXPECT_EQ(got.forces[i].x, want.forces[i].x) << i;
+    EXPECT_EQ(got.forces[i].y, want.forces[i].y) << i;
+    EXPECT_EQ(got.forces[i].z, want.forces[i].z) << i;
+  }
+  EXPECT_EQ(got.result.potential, want.result.potential);
+  EXPECT_EQ(got.result.virial, want.result.virial);
+}
+
 native::NativeForceFieldConfig native_config(const EwaldParameters& params) {
   native::NativeForceFieldConfig config;
   config.ewald = params;
@@ -161,12 +199,7 @@ TEST(BackendParity, N2FallbackRebuildsCoefficientsWhenSpeciesChange) {
   const EwaldParameters params =
       software_parameters(double(system.size()), system.box());
 
-  native::NativeRealKernel::Config rc;
-  rc.box = system.box();
-  rc.beta = params.alpha / system.box();
-  rc.r_cut = params.r_cut;
-  rc.include_tosi_fumi = true;
-  rc.tosi_fumi = TosiFumiParameters::nacl();
+  const auto rc = kernel_config(system, params);
 
   std::vector<int> types(system.types().begin(), system.types().end());
   const std::vector<double> charge_of = {system.species(0).charge,
@@ -224,6 +257,116 @@ TEST(BackendParity, PoolSweepBitIdenticalToSerial) {
   EXPECT_EQ(a.virial, b.virial);
 }
 
+// --- the N^2-mode pair list: bit-identical whenever it was rebuilt --------
+//
+// software_parameters at N = 1000 gives r_cut = 14.4 A in a 32 A box: fewer
+// than 3 cells per side, so sweep() walks the skin-padded pair list, and
+// r_cut + skin < L/2 leaves pairs off the list.
+
+TEST(BackendParity, N2PairListOverDriftingMeltMatchesFreshKernel) {
+  auto system = melt(5, 21);
+  const EwaldParameters params =
+      software_parameters(double(system.size()), system.box());
+  const auto rc = kernel_config(system, params);
+  native::NativeRealKernel kernel(rc);
+  ASSERT_TRUE(kernel.cells().use_n2_fallback(rc.r_cut));
+
+  Random rng(5);
+  for (int step = 0; step < 24; ++step) {
+    const Sweep got = sweep(kernel, system);
+    native::NativeRealKernel fresh(rc);
+    const Sweep want = sweep(fresh, system);
+    expect_bitwise_equal(got, want);
+    EXPECT_LT(kernel.last_candidates(),
+              system.size() * (system.size() - 1) / 2);
+    EXPECT_EQ(kernel.last_pairs(), fresh.last_pairs());
+    // A random walk of up to 0.08 A per axis per step.
+    for (auto& r : system.positions())
+      r += Vec3{rng.uniform(-0.08, 0.08), rng.uniform(-0.08, 0.08),
+                rng.uniform(-0.08, 0.08)};
+    system.wrap_positions();
+  }
+  EXPECT_GE(kernel.list_builds(), 2u) << "the walk never crossed a rebuild";
+  EXPECT_LT(kernel.list_builds(), 24u) << "the list was rebuilt every step";
+}
+
+TEST(BackendParity, N2PairListRebuildsWhenAnIonJumpsIntoRange) {
+  auto system = melt(5, 23);
+  const EwaldParameters params =
+      software_parameters(double(system.size()), system.box());
+  const auto rc = kernel_config(system, params);
+  const double r_list = rc.r_cut + native::NativeRealKernel::kListSkin;
+  native::NativeRealKernel kernel(rc);
+  sweep(kernel, system);
+  ASSERT_EQ(kernel.list_builds(), 1u);
+
+  // An ion b just outside the list radius of ion 0; ion 0 then jumps 1.5 A
+  // toward it, into its cutoff sphere. Only a rebuild can find the pair.
+  const Vec3 a = system.positions()[0];
+  std::size_t b = 0;
+  Vec3 d{};
+  for (std::size_t j = 1; j < system.size() && b == 0; ++j) {
+    d = minimum_image(system.positions()[j], a, system.box());
+    if (norm(d) > r_list && norm(d) < r_list + 0.4) b = j;
+  }
+  ASSERT_NE(b, 0u);
+  system.positions()[0] = a + d * (1.5 / norm(d));
+  system.wrap_positions();
+  ASSERT_LT(norm(minimum_image(system.positions()[b], system.positions()[0],
+                               system.box())),
+            rc.r_cut);
+
+  const Sweep got = sweep(kernel, system);
+  EXPECT_EQ(kernel.list_builds(), 2u);
+  native::NativeRealKernel fresh(rc);
+  expect_bitwise_equal(got, sweep(fresh, system));
+}
+
+TEST(BackendParity, N2PairListAfterInvalidateMatchesFreshKernel) {
+  const auto first = melt(5, 25);
+  const auto unrelated = melt(5, 26);
+  const EwaldParameters params =
+      software_parameters(double(first.size()), first.box());
+  const auto rc = kernel_config(first, params);
+  native::NativeRealKernel kernel(rc);
+  const Sweep before = sweep(kernel, first);
+
+  kernel.invalidate();
+  const Sweep got = sweep(kernel, unrelated);
+  native::NativeRealKernel fresh(rc);
+  expect_bitwise_equal(got, sweep(fresh, unrelated));
+
+  // invalidate() forces a rebuild even when nothing moved.
+  kernel.invalidate();
+  const std::uint64_t builds = kernel.list_builds();
+  expect_bitwise_equal(sweep(kernel, first), before);
+  EXPECT_EQ(kernel.list_builds(), builds + 1);
+}
+
+TEST(BackendParity, N2PoolSweepBitIdenticalToSerial) {
+  auto system = melt(5, 27);
+  const EwaldParameters params =
+      software_parameters(double(system.size()), system.box());
+  const auto rc = kernel_config(system, params);
+  ThreadPool pool(4);
+  native::NativeRealKernel serial(rc);
+  native::NativeRealKernel pooled(rc);
+  ASSERT_TRUE(serial.cells().use_n2_fallback(rc.r_cut));
+
+  // Two configurations: the second is past the drift trigger, so both the
+  // first build and a rebuild run on the pool.
+  Random rng(8);
+  for (int pass = 0; pass < 2; ++pass) {
+    expect_bitwise_equal(sweep(pooled, system, &pool),
+                         sweep(serial, system));
+    for (auto& r : system.positions())
+      r += Vec3{rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6),
+                rng.uniform(-0.6, 0.6)};
+    system.wrap_positions();
+  }
+  EXPECT_EQ(pooled.list_builds(), 2u);
+}
+
 TEST(BackendParity, OneSidedSweepMatchesNewtonSweep) {
   const auto system = melt(3, 5);
   const EwaldParameters params =
@@ -231,13 +374,7 @@ TEST(BackendParity, OneSidedSweepMatchesNewtonSweep) {
 
   native::SoaParticles soa;
   soa.sync(system);
-
-  native::NativeRealKernel::Config rc;
-  rc.box = system.box();
-  rc.beta = params.alpha / system.box();
-  rc.r_cut = params.r_cut;
-  rc.include_tosi_fumi = true;
-  rc.tosi_fumi = TosiFumiParameters::nacl();
+  const auto rc = kernel_config(system, params);
 
   native::NativeRealKernel newton(rc);
   std::vector<Vec3> newton_forces(system.size());
