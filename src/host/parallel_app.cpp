@@ -5,6 +5,7 @@
 #include <cmath>
 #include <memory>
 #include <numbers>
+#include <numeric>
 #include <stdexcept>
 
 #include "core/checkpoint.hpp"
@@ -72,6 +73,7 @@ struct Shared {
   double box = 0.0;
   std::size_t n_particles = 0;
   std::vector<Species> species;
+  std::vector<double> species_charge;  ///< charge per species (type)
   std::vector<PRec> initial;  // full initial state
   double self_energy = 0.0;
   double background_energy = 0.0;
@@ -110,10 +112,6 @@ void maybe_cancel(const Shared& shared, int rank, int step) {
   }
 }
 
-double charge_of(const Shared& shared, int type) {
-  return shared.species[type].charge;
-}
-
 double ms_since(std::uint64_t start_ns) {
   return static_cast<double>(obs::Trace::now_ns() - start_ns) * 1e-6;
 }
@@ -139,24 +137,86 @@ void dump_flight(const ParallelAppConfig& config, const char* reason) {
 
 /// ---------------- wavenumber process ------------------------------------
 
+/// Wavenumber-rank side of the position/force exchange, shared by the three
+/// solver loops (WINE-2 library, native SF, distributed PME): one (possibly
+/// empty) batch in from every real rank per round, and the computed forces
+/// bucketed back to their owners. The buffers persist across rounds.
+class WnExchange {
+ public:
+  WnExchange(const Shared& shared, vmpi::Communicator& comm)
+      : wn_comm(comm.subgroup(wn_ranks(shared))),
+        shared_(shared),
+        comm_(comm),
+        outgoing_(shared.config.real_processes) {}
+
+  /// Receive this round's particles: fills positions/types/charges and
+  /// zeroes `forces` to match.
+  void receive() {
+    obs::ScopedPhase comm_phase(obs::Phase::kComm);
+    MDM_TRACE_SCOPE("parallel.wn_recv");
+    local_.clear();
+    owner_.clear();
+    for (int r = 0; r < shared_.config.real_processes; ++r) {
+      for (const auto& rec : comm_.recv<WnRec>(r, kToWine)) {
+        local_.push_back(rec);
+        owner_.push_back(r);
+      }
+    }
+    const std::size_t n = local_.size();
+    positions.resize(n);
+    types.resize(n);
+    charges.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      positions[i] = local_[i].pos;
+      types[i] = local_[i].type;
+      charges[i] = shared_.species_charge[local_[i].type];
+    }
+    forces.assign(n, Vec3{});
+  }
+
+  /// Return `forces` to the owning real ranks; the group root also sends
+  /// the reciprocal energy to real rank 0 (other ranks' value is ignored).
+  void send_forces(double energy) {
+    obs::ScopedPhase comm_phase(obs::Phase::kComm);
+    MDM_TRACE_SCOPE("parallel.wn_send");
+    for (auto& out : outgoing_) out.clear();
+    for (std::size_t i = 0; i < local_.size(); ++i)
+      outgoing_[owner_[i]].push_back({local_[i].id, forces[i]});
+    for (std::size_t r = 0; r < outgoing_.size(); ++r)
+      comm_.send(static_cast<int>(r), kFromWine, outgoing_[r]);
+    if (wn_comm.rank() == 0) comm_.send_value(0, kWineEnergy, energy);
+  }
+
+  vmpi::Communicator wn_comm;  ///< the wavenumber group
+  std::vector<Vec3> positions;
+  std::vector<int> types;
+  std::vector<double> charges;
+  std::vector<Vec3> forces;
+
+ private:
+  static std::vector<int> wn_ranks(const Shared& shared) {
+    std::vector<int> ranks(shared.config.wn_processes);
+    std::iota(ranks.begin(), ranks.end(), shared.config.real_processes);
+    return ranks;
+  }
+
+  const Shared& shared_;
+  vmpi::Communicator& comm_;
+  std::vector<WnRec> local_;
+  std::vector<int> owner_;  ///< real rank per local particle
+  std::vector<std::vector<IdForce>> outgoing_;
+};
+
 /// Native-backend wavenumber process (DESIGN.md §11): the same rank topology
 /// and message flow as the WINE-2 path, but the structure factors come from
 /// the vectorized NativeKspace DFT on the local particle slice and are
 /// summed across the wavenumber group with an explicit allreduce (the WINE-2
 /// MPI library does the equivalent reduction internally).
 void wavenumber_main_native(const Shared& shared, vmpi::Communicator& comm) {
-  const int R = shared.config.real_processes;
-  const int W = shared.config.wn_processes;
-  std::vector<int> wn_ranks(W);
-  for (int w = 0; w < W; ++w) wn_ranks[w] = R + w;
-  auto wn_comm = comm.subgroup(wn_ranks);
-
+  WnExchange ex(shared, comm);
   const KVectorTable kvectors(shared.box, shared.config.ewald.alpha,
                               shared.config.ewald.lk_cut);
   native::NativeKspace kspace(kvectors);
-  std::vector<double> charge_of_type(shared.species.size());
-  for (std::size_t t = 0; t < shared.species.size(); ++t)
-    charge_of_type[t] = shared.species[t].charge;
 
   // Structure-factor allreduce tags: above the WINE-2 library's 7001+ range.
   constexpr int kSfSinTag = 7101;
@@ -164,54 +224,24 @@ void wavenumber_main_native(const Shared& shared, vmpi::Communicator& comm) {
 
   native::SoaParticles soa;
   StructureFactors sf;
-  std::vector<Vec3> positions;
-  std::vector<int> types;
 
   for (int round = shared.start_step; round <= shared.total_steps; ++round) {
     obs::TraceSpan round_span("wn.round");
     maybe_fail_rank(shared, comm.rank(), round);
-    std::vector<WnRec> local;
-    std::vector<int> owner;
-    {
-      obs::ScopedPhase comm_phase(obs::Phase::kComm);
-      MDM_TRACE_SCOPE("parallel.wn_recv");
-      for (int r = 0; r < R; ++r) {
-        const auto batch = comm.recv<WnRec>(r, kToWine);
-        for (const auto& rec : batch) {
-          local.push_back(rec);
-          owner.push_back(r);
-        }
-      }
-    }
-
-    positions.resize(local.size());
-    types.resize(local.size());
-    for (std::size_t i = 0; i < local.size(); ++i) {
-      positions[i] = local[i].pos;
-      types[i] = local[i].type;
-    }
-    soa.sync(shared.box, positions, types, charge_of_type);
+    ex.receive();
+    soa.sync(shared.box, ex.positions, ex.types, shared.species_charge);
 
     kspace.dft(soa, sf);
     {
       obs::ScopedPhase comm_phase(obs::Phase::kComm);
       MDM_TRACE_SCOPE("parallel.sf_allreduce");
-      wn_comm.allreduce_sum(sf.s, kSfSinTag);
-      wn_comm.allreduce_sum(sf.c, kSfCosTag);
+      ex.wn_comm.allreduce_sum(sf.s, kSfSinTag);
+      ex.wn_comm.allreduce_sum(sf.c, kSfCosTag);
     }
-
-    std::vector<Vec3> forces(local.size(), Vec3{});
-    kspace.idft(soa, sf, forces);
-
-    obs::ScopedPhase comm_phase(obs::Phase::kComm);
-    MDM_TRACE_SCOPE("parallel.wn_send");
-    std::vector<std::vector<IdForce>> outgoing(R);
-    for (std::size_t i = 0; i < local.size(); ++i)
-      outgoing[owner[i]].push_back({local[i].id, forces[i]});
-    for (int r = 0; r < R; ++r) comm.send(r, kFromWine, outgoing[r]);
-
-    if (wn_comm.rank() == 0)
-      comm.send_value(0, kWineEnergy, kspace.energy_virial(sf).potential);
+    kspace.idft(soa, sf, ex.forces);
+    ex.send_forces(ex.wn_comm.rank() == 0
+                       ? kspace.energy_virial(sf).potential
+                       : 0.0);
   }
 }
 
@@ -221,58 +251,20 @@ void wavenumber_main_native(const Shared& shared, vmpi::Communicator& comm) {
 /// to the owner of its base spreading plane (PmeSlabLayout::route), not by
 /// id, so every rank spreads only onto its own slab plus its ghost planes.
 void wavenumber_main_pme(const Shared& shared, vmpi::Communicator& comm) {
-  const int R = shared.config.real_processes;
-  const int W = shared.config.wn_processes;
-  std::vector<int> wn_ranks(W);
-  for (int w = 0; w < W; ++w) wn_ranks[w] = R + w;
-  auto wn_comm = comm.subgroup(wn_ranks);
-
+  WnExchange ex(shared, comm);
   const PmeParameters pme =
       validated_pme(resolved_pme(shared.config), shared.box);
-  DistributedPmeRank engine(pme, shared.box, wn_comm);
-
-  std::vector<Vec3> positions;
-  std::vector<double> charges;
-  std::vector<Vec3> forces;
+  DistributedPmeRank engine(pme, shared.box, ex.wn_comm);
 
   for (int round = shared.start_step; round <= shared.total_steps; ++round) {
     obs::TraceSpan round_span("wn.round");
-    std::vector<WnRec> local;
-    std::vector<int> owner;
-    {
-      obs::ScopedPhase comm_phase(obs::Phase::kComm);
-      MDM_TRACE_SCOPE("parallel.wn_recv");
-      for (int r = 0; r < R; ++r) {
-        const auto batch = comm.recv<WnRec>(r, kToWine);
-        for (const auto& rec : batch) {
-          local.push_back(rec);
-          owner.push_back(r);
-        }
-      }
-    }
+    ex.receive();
     // Fault poll after the recv, not at the top of the round: an injected
     // death here models a k-space rank dying mid-FFT — its peers are
     // already inside the collective mesh transform and surface
     // PeerFailedError from the transpose/ghost-plane exchanges.
     maybe_fail_rank(shared, comm.rank(), round);
-
-    positions.resize(local.size());
-    charges.resize(local.size());
-    for (std::size_t i = 0; i < local.size(); ++i) {
-      positions[i] = local[i].pos;
-      charges[i] = charge_of(shared, local[i].type);
-    }
-    const double energy = engine.step(positions, charges, forces);
-
-    obs::ScopedPhase comm_phase(obs::Phase::kComm);
-    MDM_TRACE_SCOPE("parallel.wn_send");
-    std::vector<std::vector<IdForce>> outgoing(R);
-    for (std::size_t i = 0; i < local.size(); ++i)
-      outgoing[owner[i]].push_back({local[i].id, forces[i]});
-    for (int r = 0; r < R; ++r) comm.send(r, kFromWine, outgoing[r]);
-
-    if (wn_comm.rank() == 0)
-      comm.send_value(0, kWineEnergy, energy);
+    ex.send_forces(engine.step(ex.positions, ex.charges, ex.forces));
   }
 }
 
@@ -281,14 +273,9 @@ void wavenumber_main(const Shared& shared, vmpi::Communicator& comm) {
     return wavenumber_main_pme(shared, comm);
   if (shared.config.backend == Backend::kNative)
     return wavenumber_main_native(shared, comm);
-  const int R = shared.config.real_processes;
-  const int W = shared.config.wn_processes;
-  std::vector<int> wn_ranks(W);
-  for (int w = 0; w < W; ++w) wn_ranks[w] = R + w;
-  auto wn_comm = comm.subgroup(wn_ranks);
-
+  WnExchange ex(shared, comm);
   Wine2MpiLibrary lib;
-  lib.wine2_set_MPI_community(&wn_comm);
+  lib.wine2_set_MPI_community(&ex.wn_comm);
   lib.wine2_allocate_board(shared.config.wine_boards_per_process);
   lib.wine2_initialize_board(shared.config.wine_formats);
 
@@ -303,41 +290,9 @@ void wavenumber_main(const Shared& shared, vmpi::Communicator& comm) {
     // merged job trace shows every rank's round cadence in Release too.
     obs::TraceSpan round_span("wn.round");
     maybe_fail_rank(shared, comm.rank(), round);
-    // One (possibly empty) batch from every real rank.
-    std::vector<WnRec> local;
-    std::vector<int> owner;  // real rank per local particle
-    {
-      obs::ScopedPhase comm_phase(obs::Phase::kComm);
-      MDM_TRACE_SCOPE("parallel.wn_recv");
-      for (int r = 0; r < R; ++r) {
-        const auto batch = comm.recv<WnRec>(r, kToWine);
-        for (const auto& rec : batch) {
-          local.push_back(rec);
-          owner.push_back(r);
-        }
-      }
-    }
-
-    std::vector<Vec3> positions(local.size());
-    std::vector<double> charges(local.size());
-    for (std::size_t i = 0; i < local.size(); ++i) {
-      positions[i] = local[i].pos;
-      charges[i] = charge_of(shared, local[i].type);
-    }
-    std::vector<Vec3> forces(local.size(), Vec3{});
-    const double energy = lib.calculate_force_and_pot_wavepart_nooffset(
-        positions, charges, shared.box, kvectors, forces);
-
-    // Return forces to the owning real ranks.
-    obs::ScopedPhase comm_phase(obs::Phase::kComm);
-    MDM_TRACE_SCOPE("parallel.wn_send");
-    std::vector<std::vector<IdForce>> outgoing(R);
-    for (std::size_t i = 0; i < local.size(); ++i)
-      outgoing[owner[i]].push_back({local[i].id, forces[i]});
-    for (int r = 0; r < R; ++r) comm.send(r, kFromWine, outgoing[r]);
-
-    if (wn_comm.rank() == 0)
-      comm.send_value(0, kWineEnergy, energy);
+    ex.receive();
+    ex.send_forces(lib.calculate_force_and_pot_wavepart_nooffset(
+        ex.positions, ex.charges, shared.box, kvectors, ex.forces));
   }
   lib.wine2_free_board();
 }
@@ -363,10 +318,6 @@ class RealProcess {
                                           shared_.config.wn_processes);
       use_pme_ = true;
     }
-    std::vector<double> charges(shared_.species.size());
-    for (std::size_t t = 0; t < shared_.species.size(); ++t)
-      charges[t] = shared_.species[t].charge;
-    species_charge_ = charges;
     const double beta = shared_.config.ewald.alpha / shared_.box;
     if (shared_.config.backend == Backend::kNative) {
       native::NativeRealKernel::Config rc;
@@ -379,9 +330,9 @@ class RealProcess {
       return;
     }
     force_passes_.push_back(mdgrape2::make_coulomb_real_pass(
-        beta, shared_.config.ewald.r_cut, charges));
+        beta, shared_.config.ewald.r_cut, shared_.species_charge));
     potential_passes_.push_back(mdgrape2::make_coulomb_real_potential_pass(
-        beta, shared_.config.ewald.r_cut, charges));
+        beta, shared_.config.ewald.r_cut, shared_.species_charge));
     if (shared_.config.include_tosi_fumi) {
       for (auto& p : mdgrape2::make_tosi_fumi_passes(
                shared_.config.tosi_fumi, shared_.config.ewald.r_cut))
@@ -506,54 +457,70 @@ class RealProcess {
     return halo;
   }
 
+  /// One force evaluation with the two machine groups overlapped, as
+  /// MDGRAPE-2 and WINE-2 computed concurrently on the MDM (paper §4): the
+  /// positions go to the wavenumber ranks first, the halo exchange and the
+  /// real-space pass run while those ranks compute, and the returned k-space
+  /// forces are added afterwards. Bit-identical to shipping after the real
+  /// pass: the wavenumber ranks receive the same batches in the same order,
+  /// and each owned force is still the real-space force first, then `+=`
+  /// the returned k-space forces in return order. wine_ms_ is the real
+  /// rank's k-space time: packing and sending plus the exposed wait.
   void compute_forces() {
+    std::uint64_t t_wine = obs::Trace::now_ns();
+    send_to_wine();
+    wine_ms_ += ms_since(t_wine);
+
     const auto halo = exchange_halos();
     const std::uint64_t t_force = obs::Trace::now_ns();
-
     if (native_kernel_) {
       compute_real_native(halo);
     } else {
       compute_real_emulated(halo);
     }
-
     mdgrape_ms_ += ms_since(t_force);
 
-    // Wavenumber part: partition the owned particles over the 8 wavenumber
-    // processes by particle id.
-    const std::uint64_t t_wine = obs::Trace::now_ns();
+    t_wine = obs::Trace::now_ns();
+    receive_from_wine();
+    wine_ms_ += ms_since(t_wine);
+  }
+
+  /// Ship the owned positions to the wavenumber ranks. The structure-factor
+  /// paths partition by particle id; PME routes by mesh geometry: the
+  /// wavenumber rank owning the particle's base spreading plane gets it
+  /// (same floor(wrap(z)/L*K) as the spline kernel, so routing and
+  /// spreading cannot disagree).
+  void send_to_wine() {
     obs::ScopedPhase comm_phase(obs::Phase::kComm);
-    MDM_TRACE_SCOPE("parallel.wine_exchange");
-    std::vector<std::vector<WnRec>> to_wine(wn_count());
-    if (use_pme_) {
-      // PME routes by mesh geometry: the wavenumber rank owning the
-      // particle's base spreading plane gets it (same floor(wrap(z)/L*K)
-      // as the spline kernel, so routing and spreading cannot disagree).
-      for (const auto& p : my_)
-        to_wine[pme_layout_.route(p.pos.z, shared_.box)].push_back(
-            {p.id, p.type, p.pos});
-    } else {
-      for (const auto& p : my_)
-        to_wine[p.id % wn_count()].push_back({p.id, p.type, p.pos});
+    MDM_TRACE_SCOPE("parallel.wine_send");
+    for (auto& batch : to_wine_) batch.clear();
+    for (const auto& p : my_) {
+      const int w = use_pme_ ? pme_layout_.route(p.pos.z, shared_.box)
+                             : static_cast<int>(p.id % wn_count());
+      to_wine_[w].push_back({p.id, p.type, p.pos});
     }
     for (int w = 0; w < wn_count(); ++w)
-      comm_.send(real_count() + w, kToWine, to_wine[w]);
+      comm_.send(real_count() + w, kToWine, to_wine_[w]);
+  }
 
-    std::vector<IdForce> returned;
+  /// Add the k-space forces to the real-space forces of the owned
+  /// particles; rank 0 also receives the reciprocal energy.
+  void receive_from_wine() {
+    obs::ScopedPhase comm_phase(obs::Phase::kComm);
+    MDM_TRACE_SCOPE("parallel.wine_recv");
     for (int w = 0; w < wn_count(); ++w) {
-      const auto part = comm_.recv<IdForce>(real_count() + w, kFromWine);
-      returned.insert(returned.end(), part.begin(), part.end());
-    }
-    for (const auto& idf : returned) {
-      const std::int32_t slot =
-          idf.id < id_slot_.size() ? id_slot_[idf.id] : -1;
-      if (slot < 0)
-        throw std::runtime_error("parallel app: wavenumber force for a "
-                                 "particle this rank does not own");
-      my_[static_cast<std::size_t>(slot)].force += idf.force;
+      for (const auto& idf :
+           comm_.recv<IdForce>(real_count() + w, kFromWine)) {
+        const std::int32_t slot =
+            idf.id < id_slot_.size() ? id_slot_[idf.id] : -1;
+        if (slot < 0)
+          throw std::runtime_error("parallel app: wavenumber force for a "
+                                   "particle this rank does not own");
+        my_[static_cast<std::size_t>(slot)].force += idf.force;
+      }
     }
     if (rank() == 0)
       wn_energy_ = comm_.recv_value<double>(real_count(), kWineEnergy);
-    wine_ms_ += ms_since(t_wine);
   }
 
   /// Emulator real-space pass: owned + halo through the MDGRAPE-2 boards.
@@ -598,7 +565,7 @@ class RealProcess {
       pos_buf_[my_.size() + i] = halo[i].pos;
       type_buf_[my_.size() + i] = halo[i].type;
     }
-    soa_.sync(shared_.box, pos_buf_, type_buf_, species_charge_);
+    soa_.sync(shared_.box, pos_buf_, type_buf_, shared_.species_charge);
 
     force_buf_.assign(soa_.size(), Vec3{});
     local_potential_ = 0.0;
@@ -799,7 +766,6 @@ class RealProcess {
   mdgrape2::Mdgrape2System mdgrape_;
   std::vector<mdgrape2::ForcePass> force_passes_;
   std::vector<mdgrape2::ForcePass> potential_passes_;
-  std::vector<double> species_charge_;
   // Native backend (DESIGN.md §11): fused one-sided kernel plus reusable
   // SoA mirror and scratch, so the steady state stays allocation-free.
   std::unique_ptr<native::NativeRealKernel> native_kernel_;
@@ -808,6 +774,8 @@ class RealProcess {
   std::vector<int> type_buf_;
   std::vector<Vec3> force_buf_;
   std::vector<PRec> my_;
+  std::vector<std::vector<WnRec>> to_wine_ =
+      std::vector<std::vector<WnRec>>(shared_.config.wn_processes);
   HealthMonitor health_{shared_.config.health};
   std::vector<std::int32_t> id_slot_;  ///< id -> index in my_ (-1 not owned)
   double local_potential_ = 0.0;
@@ -894,8 +862,10 @@ ParallelRunResult MdmParallelApp::run(const ParticleSystem& initial) {
   shared.config = config_;
   shared.box = initial.box();
   shared.n_particles = initial.size();
-  for (int t = 0; t < initial.species_count(); ++t)
+  for (int t = 0; t < initial.species_count(); ++t) {
     shared.species.push_back(initial.species(t));
+    shared.species_charge.push_back(initial.species(t).charge);
+  }
   shared.initial.resize(initial.size());
   for (std::size_t i = 0; i < initial.size(); ++i) {
     shared.initial[i] = {static_cast<std::uint32_t>(i),

@@ -4,12 +4,14 @@
 /// The paper's MD program (sec. 4): an MPI application with 16 real-space
 /// processes and 8 wavenumber processes.
 ///
-///  * Each real-space process owns one spatial domain. Per step it performs
-///    the halo exchange ("each process should know positions of neighboring
-///    particles before calling MR1calcvdw_block2, that is what you have to
-///    manage with MPI routines"), drives its MDGRAPE-2 boards for the
-///    real-space Coulomb + Tosi-Fumi passes, integrates its particles and
-///    migrates the ones that left its domain.
+///  * Each real-space process owns one spatial domain. Per step it ships
+///    its positions to the wavenumber processes, performs the halo exchange
+///    ("each process should know positions of neighboring particles before
+///    calling MR1calcvdw_block2, that is what you have to manage with MPI
+///    routines") and drives its MDGRAPE-2 boards for the real-space
+///    Coulomb + Tosi-Fumi passes while the wavenumber side computes, then
+///    adds the returned forces, integrates and migrates the particles that
+///    left its domain.
 ///  * Each wavenumber process holds ~N/8 particles and calls the
 ///    MPI-parallel WINE-2 library (Wine2MpiLibrary), which allreduces the
 ///    structure factors internally.

@@ -95,7 +95,9 @@ class Communicator {
     if (bytes.size() % sizeof(T) != 0)
       throw std::runtime_error("vmpi: message size not a multiple of T");
     std::vector<T> out(bytes.size() / sizeof(T));
-    std::memcpy(out.data(), bytes.data(), bytes.size());
+    // Empty payloads (empty halo/migrate/k-space batches) are routine, and
+    // memcpy from/to a null pointer is UB even for zero bytes.
+    if (!bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
     return out;
   }
 

@@ -10,7 +10,6 @@
 #include <atomic>
 #include <fstream>
 #include <ostream>
-#include <sstream>
 
 #include "obs/trace.hpp"
 #include "obs/trace_context.hpp"
@@ -36,6 +35,10 @@ struct Ring {
   /// Monotone write position; slot i lives at i % kRingCapacity. Single
   /// writer (the owning thread), many readers.
   std::atomic<std::uint64_t> head{0};
+  /// Claimed by a live thread. Cleared at thread exit so a later thread
+  /// reuses the ring (appending after the dead thread's events) instead of
+  /// allocating a new one.
+  std::atomic<bool> owned{true};
   Slot slots[FlightRecorder::kRingCapacity];
 };
 
@@ -43,8 +46,8 @@ constexpr std::size_t kMaxRings = 1024;
 
 /// Lock-free ring registry: a fixed array of pointers published with a
 /// release store, so the fatal-signal handler can walk it without taking
-/// any lock. Rings are leaked on purpose (threads may record during static
-/// destruction).
+/// any lock. Rings are never freed, only recycled across threads, so the
+/// count is bounded by the peak number of concurrently recording threads.
 struct Registry {
   std::atomic<bool> enabled{true};
   std::atomic<std::uint64_t> recorded{0};
@@ -64,17 +67,41 @@ Registry& registry() {
 }
 
 thread_local Ring* t_ring = nullptr;
+thread_local bool t_ring_released = false;
 thread_local int t_rank = -1;
 
+/// Hands the thread's ring back at thread exit. Events recorded later in
+/// the exit sequence are dropped: the ring may already have a new owner.
+struct RingRelease {
+  ~RingRelease() {
+    if (t_ring) t_ring->owned.store(false, std::memory_order_release);
+    t_ring = nullptr;
+    t_ring_released = true;
+  }
+};
+
+Ring* claim_ring() {
+  auto& reg = registry();
+  const std::size_t count =
+      std::min(reg.count.load(std::memory_order_acquire), kMaxRings);
+  for (std::size_t r = 0; r < count; ++r) {
+    Ring* ring = reg.rings[r].load(std::memory_order_acquire);
+    bool free = false;
+    if (ring && ring->owned.compare_exchange_strong(
+                    free, true, std::memory_order_acq_rel))
+      return ring;
+  }
+  const std::size_t idx = reg.count.fetch_add(1, std::memory_order_acq_rel);
+  if (idx >= kMaxRings) return nullptr;  // beyond the cap: drop events
+  auto* ring = new Ring;
+  reg.rings[idx].store(ring, std::memory_order_release);
+  return ring;
+}
+
 Ring* local_ring() {
-  if (!t_ring) {
-    auto& reg = registry();
-    const std::size_t idx =
-        reg.count.fetch_add(1, std::memory_order_relaxed);
-    if (idx >= kMaxRings) return nullptr;  // beyond the cap: drop events
-    auto* ring = new Ring;
-    reg.rings[idx].store(ring, std::memory_order_release);
-    t_ring = ring;
+  if (!t_ring && !t_ring_released) {
+    t_ring = claim_ring();
+    thread_local RingRelease release;
   }
   return t_ring;
 }
@@ -180,6 +207,19 @@ void write_event(RawWriter& w, const FlightEventView& e, bool first) {
   w.str("}");
 }
 
+/// Decode one slot (relaxed loads only: async-signal-safe).
+FlightEventView decode(const Slot& s) {
+  FlightEventView e;
+  e.ts_ns = s.ts_ns.load(std::memory_order_relaxed);
+  e.trace_id = s.trace_id.load(std::memory_order_relaxed);
+  e.a = s.a.load(std::memory_order_relaxed);
+  e.b = s.b.load(std::memory_order_relaxed);
+  e.label = s.label.load(std::memory_order_relaxed);
+  e.rank = s.rank.load(std::memory_order_relaxed);
+  e.kind = static_cast<FlightKind>(s.kind.load(std::memory_order_relaxed));
+  return e;
+}
+
 /// Read the last events of one ring into `out` (unsorted). Safe against a
 /// concurrently recording owner: slots the writer lapped are discarded.
 void collect_ring(const Ring& ring, std::vector<FlightEventView>& out) {
@@ -187,15 +227,8 @@ void collect_ring(const Ring& ring, std::vector<FlightEventView>& out) {
   const std::uint64_t n =
       std::min<std::uint64_t>(head, FlightRecorder::kRingCapacity);
   for (std::uint64_t i = head - n; i < head; ++i) {
-    const Slot& s = ring.slots[i % FlightRecorder::kRingCapacity];
-    FlightEventView e;
-    e.ts_ns = s.ts_ns.load(std::memory_order_relaxed);
-    e.trace_id = s.trace_id.load(std::memory_order_relaxed);
-    e.a = s.a.load(std::memory_order_relaxed);
-    e.b = s.b.load(std::memory_order_relaxed);
-    e.label = s.label.load(std::memory_order_relaxed);
-    e.rank = s.rank.load(std::memory_order_relaxed);
-    e.kind = static_cast<FlightKind>(s.kind.load(std::memory_order_relaxed));
+    const FlightEventView e =
+        decode(ring.slots[i % FlightRecorder::kRingCapacity]);
     // The writer may have wrapped onto this slot while we read it.
     if (ring.head.load(std::memory_order_acquire) >
         i + FlightRecorder::kRingCapacity)
@@ -220,28 +253,16 @@ void crash_handler(int sig) {
     w.str("{\"signal\":");
     w.i64(sig);
     w.str(",\"flight\":[");
-    auto& reg = registry();
-    const std::size_t count =
-        std::min(reg.count.load(std::memory_order_relaxed), kMaxRings);
     bool first = true;
-    for (std::size_t r = 0; r < count; ++r) {
-      const Ring* ring = reg.rings[r].load(std::memory_order_acquire);
+    for (std::size_t r = 0; r < FlightRecorder::ring_count(); ++r) {
+      const Ring* ring = registry().rings[r].load(std::memory_order_acquire);
       if (!ring) continue;
       const std::uint64_t head = ring->head.load(std::memory_order_acquire);
       const std::uint64_t n =
           std::min<std::uint64_t>(head, FlightRecorder::kRingCapacity);
       for (std::uint64_t i = head - n; i < head; ++i) {
-        const Slot& s = ring->slots[i % FlightRecorder::kRingCapacity];
-        FlightEventView e;
-        e.ts_ns = s.ts_ns.load(std::memory_order_relaxed);
-        e.trace_id = s.trace_id.load(std::memory_order_relaxed);
-        e.a = s.a.load(std::memory_order_relaxed);
-        e.b = s.b.load(std::memory_order_relaxed);
-        e.label = s.label.load(std::memory_order_relaxed);
-        e.rank = s.rank.load(std::memory_order_relaxed);
-        e.kind =
-            static_cast<FlightKind>(s.kind.load(std::memory_order_relaxed));
-        write_event(w, e, first);
+        write_event(w, decode(ring->slots[i % FlightRecorder::kRingCapacity]),
+                    first);
         first = false;
       }
     }
@@ -316,13 +337,15 @@ std::uint64_t FlightRecorder::recorded_count() noexcept {
   return registry().recorded.load(std::memory_order_relaxed);
 }
 
+std::size_t FlightRecorder::ring_count() noexcept {
+  return std::min(registry().count.load(std::memory_order_relaxed),
+                  kMaxRings);
+}
+
 std::size_t FlightRecorder::snapshot(std::vector<FlightEventView>& out) {
   out.clear();
-  auto& reg = registry();
-  const std::size_t count =
-      std::min(reg.count.load(std::memory_order_relaxed), kMaxRings);
-  for (std::size_t r = 0; r < count; ++r) {
-    const Ring* ring = reg.rings[r].load(std::memory_order_acquire);
+  for (std::size_t r = 0; r < ring_count(); ++r) {
+    const Ring* ring = registry().rings[r].load(std::memory_order_acquire);
     if (ring) collect_ring(*ring, out);
   }
   std::stable_sort(out.begin(), out.end(),
@@ -335,9 +358,6 @@ std::size_t FlightRecorder::snapshot(std::vector<FlightEventView>& out) {
 void FlightRecorder::write_json(std::ostream& os) {
   std::vector<FlightEventView> events;
   snapshot(events);
-  std::ostringstream body;
-  // Reuse the signal-safe formatter through an in-memory fd-less path:
-  // format into a RawWriter over a pipe would be overkill; emit directly.
   os << "{\"flight\":[";
   bool first = true;
   for (const auto& e : events) {
@@ -371,14 +391,11 @@ bool FlightRecorder::write_json_file(const std::string& path) {
 }
 
 void FlightRecorder::clear() {
-  auto& reg = registry();
-  const std::size_t count =
-      std::min(reg.count.load(std::memory_order_relaxed), kMaxRings);
-  for (std::size_t r = 0; r < count; ++r) {
-    Ring* ring = reg.rings[r].load(std::memory_order_acquire);
+  for (std::size_t r = 0; r < ring_count(); ++r) {
+    Ring* ring = registry().rings[r].load(std::memory_order_acquire);
     if (ring) ring->head.store(0, std::memory_order_release);
   }
-  reg.recorded.store(0, std::memory_order_relaxed);
+  registry().recorded.store(0, std::memory_order_relaxed);
 }
 
 void FlightRecorder::install_crash_handler(const std::string& path) {

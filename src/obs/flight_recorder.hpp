@@ -9,7 +9,9 @@
 /// Recording is a handful of relaxed atomic stores into a fixed-size ring
 /// (no allocation, no locks, TSan-clean), cheap enough to leave on in
 /// production; `MDM_FLIGHT=0` disables it. Each thread keeps the last
-/// `kRingCapacity` events; a dump collects every ring, sorts by timestamp
+/// `kRingCapacity` events in a ring it hands back at exit; the next new
+/// thread appends to that ring, so a dead thread's events survive until
+/// they are overwritten. A dump collects every ring, sorts by timestamp
 /// and writes JSON with the event kind, rank, trace id and two
 /// kind-specific operands (step, peer, tag, generation, ...).
 ///
@@ -81,6 +83,10 @@ class FlightRecorder {
 
   /// Total events ever recorded (monotone; survives ring wrap).
   static std::uint64_t recorded_count() noexcept;
+
+  /// Rings allocated so far. A thread's ring is recycled when it exits, so
+  /// this is bounded by the peak number of concurrently recording threads.
+  static std::size_t ring_count() noexcept;
 
   /// Copy out every ring, sorted by timestamp (oldest first). Events being
   /// overwritten concurrently may be dropped, never torn.

@@ -1,5 +1,6 @@
 /// Crash flight recorder (DESIGN.md §10): ring semantics (wrap, rank
-/// labels, trace tagging), JSON dump shape, and the acceptance paths — a
+/// labels, trace tagging, recycling at thread exit), JSON dump shape, and
+/// the acceptance paths — a
 /// killed rank and an injected health violation each leave a dump next to
 /// the checkpoints whose last events name the failing step/rank, and the
 /// fatal-signal handler writes a dump before the process dies.
@@ -117,6 +118,25 @@ TEST_F(FlightRecorderTest, PerThreadRingsMergeInOneSnapshot) {
   EXPECT_TRUE(saw_rank[0] && saw_rank[1] && saw_rank[2]);
 }
 
+/// Every exiting thread hands its ring back: sequential short-lived threads
+/// share one ring instead of leaking one each and, past the registry cap,
+/// silently losing their events.
+TEST_F(FlightRecorderTest, ShortLivedThreadsRecycleRings) {
+  FlightRecorder::record(FlightKind::kNote, "fr_main");  // own ring first
+  const std::size_t rings_before = FlightRecorder::ring_count();
+  constexpr int kThreads = 2000;
+  for (int t = 0; t < kThreads; ++t)
+    std::thread([t] {
+      FlightRecorder::record(FlightKind::kStep, "fr_short", t);
+    }).join();
+  // Peak concurrency is one recording thread beside this one.
+  EXPECT_LE(FlightRecorder::ring_count(), rings_before + 1);
+
+  const auto events = events_with_label("fr_short");
+  ASSERT_FALSE(events.empty());
+  EXPECT_EQ(events.back().a, kThreads - 1);  // the last thread's event
+}
+
 TEST_F(FlightRecorderTest, DisabledDropsEventsButKeepsRankLabels) {
   FlightRecorder::set_enabled(false);
   FlightRecorder::set_thread_rank(9);  // must stick while disabled
@@ -200,6 +220,33 @@ TEST_F(FlightRecorderTest, KilledRankDumpNamesFailingStepAndRank) {
     EXPECT_EQ(e.at("rank").as_number(), 1.0);
   }
   EXPECT_TRUE(found) << "no rank_fail event in " << dump;
+}
+
+/// Each run spawns fresh rank threads; their rings are recycled, so back-to-
+/// back runs (a served job stream) do not grow the registry.
+TEST_F(FlightRecorderTest, RepeatedAppRunsDoNotGrowRingCount) {
+  const auto sys = initial_state(2, 13);
+  auto cfg = small_config(sys, "");
+  cfg.wn_processes = 2;
+  cfg.protocol.nvt_steps = 1;
+  cfg.checkpoint_interval = 0;
+  host::MdmParallelApp app(cfg);
+  app.run(sys);  // warm-up: any lazily started worker threads exist now
+  const std::size_t rings = FlightRecorder::ring_count();
+  for (int run = 0; run < 20; ++run) {
+    FlightRecorder::clear();
+    app.run(sys);
+  }
+  EXPECT_EQ(FlightRecorder::ring_count(), rings);
+
+  // And the last run's rank threads still recorded (none was left without
+  // a ring).
+  std::vector<FlightEventView> events;
+  FlightRecorder::snapshot(events);
+  bool saw_rank[3] = {};
+  for (const auto& e : events)
+    if (e.rank >= 0 && e.rank < 3) saw_rank[e.rank] = true;
+  EXPECT_TRUE(saw_rank[0] && saw_rank[1] && saw_rank[2]);
 }
 
 /// Acceptance: an injected health violation leaves flight_health.json whose

@@ -7,6 +7,7 @@
 #include "core/lattice.hpp"
 #include "host/mdm_force_field.hpp"
 #include "host/wine2_mpi.hpp"
+#include "obs/flight_recorder.hpp"
 #include "util/random.hpp"
 
 namespace mdm::host {
@@ -172,6 +173,41 @@ TEST(MdmParallelApp, NvtPhaseHoldsTemperature) {
   MdmParallelApp app(cfg);
   const auto result = app.run(sys);
   EXPECT_NEAR(result.samples.back().temperature_K, 1200.0, 1e-6);
+}
+
+/// The real ranks post their k-space batches before the halo exchange, so
+/// the wavenumber ranks compute while the real-space pass runs (paper §4).
+/// Per-thread event order is deterministic: in every force evaluation of
+/// every real rank, both kToWine (300) sends precede the kHalo (200) send.
+TEST(MdmParallelApp, ShipsPositionsToWavenumberRanksBeforeHalo) {
+  constexpr int kHalo = 200;
+  constexpr int kToWine = 300;
+  const auto sys = initial_state(2, 17);
+  for (const auto solver : {KspaceSolver::kStructureFactor, KspaceSolver::kPme}) {
+    SCOPED_TRACE(to_string(solver));
+    auto cfg = app_config(sys, 2, 2, 1, 2);
+    cfg.kspace_solver = solver;
+    cfg.pme.grid = 16;
+    obs::FlightRecorder::clear();
+    MdmParallelApp app(cfg);
+    app.run(sys);
+
+    std::vector<obs::FlightEventView> events;
+    obs::FlightRecorder::snapshot(events);
+    for (int rank = 0; rank < cfg.real_processes; ++rank) {
+      std::vector<std::int64_t> tags;
+      for (const auto& e : events)
+        if (e.rank == rank && e.kind == obs::FlightKind::kSend &&
+            (e.b == kHalo || e.b == kToWine))
+          tags.push_back(e.b);
+      // Priming pass + 3 steps, each: one batch per wavenumber rank, then
+      // one halo message to the other real rank.
+      std::vector<std::int64_t> expected;
+      for (int eval = 0; eval < 4; ++eval)
+        expected.insert(expected.end(), {kToWine, kToWine, kHalo});
+      EXPECT_EQ(tags, expected) << "real rank " << rank;
+    }
+  }
 }
 
 TEST(MdmParallelApp, RejectsBadConfig) {
