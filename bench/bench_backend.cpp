@@ -7,9 +7,9 @@
 ///
 /// Exits non-zero if the native real-space kernel is not at least 3x faster
 /// than the MDGRAPE-2 emulation single-thread, or if a native kernel
-/// allocates in the steady state — in cell mode, in the N^2 pair-list mode
-/// across list rebuilds, or in k-space. This is the backend's performance
-/// contract.
+/// allocates in the steady state — in cell mode, in the one-sided rank
+/// sweep, in the N^2 pair-list mode across list rebuilds, or in k-space.
+/// This is the backend's performance contract.
 ///
 ///   ./bench_backend [--cells 4] [--reps 5]
 
@@ -203,6 +203,29 @@ int main(int argc, char** argv) {
                emu.s_per_eval * 1e9 / (n * flops.n_int_g), "ns");
     report.add("real.native_ns_per_pair",
                nat.s_per_eval * 1e9 / double(native_pairs), "ns");
+  }
+
+  // ---- real space, one-sided: the parallel ranks' sweep ----------------
+  // Forces on the first n/2 ions from all n, as a rank evaluates its owned
+  // particles against owned + halo; costs are per in-cutoff pair.
+  {
+    native::SoaParticles soa;
+    native::NativeRealKernel kernel(kernel_config(params));
+    const Sample nat = measure(reps, [&] {
+      std::fill(forces.begin(), forces.end(), Vec3{});
+      soa.sync(sys);
+      kernel.one_sided(soa, sys.size() / 2, forces);
+    });
+    table.add_row({"real_one_sided", "-", format_fixed(nat.s_per_eval, 5),
+                   "-", format_fixed(nat.allocs_per_eval, 1)});
+    report.add("real_one_sided.native_s_per_eval", nat.s_per_eval, "s");
+    report.add("real_one_sided.native_pairs", double(kernel.last_pairs()),
+               "pairs");
+    report.add("real_one_sided.native_ns_per_pair",
+               nat.s_per_eval * 1e9 / double(kernel.last_pairs()), "ns");
+    report.add("real_one_sided.native_steady_allocs", nat.allocs_per_eval,
+               "count");
+    if (nat.allocs_per_eval > 0.0) contract_ok = false;
   }
 
   // ---- real space, N^2 mode: the skin-padded pair list ------------------

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <limits>
 #include <numbers>
 #include <stdexcept>
 
@@ -16,19 +15,25 @@ namespace mdm::native {
 namespace {
 
 const double kTwoOverSqrtPi = 2.0 / std::sqrt(std::numbers::pi);
-constexpr std::size_t kNoSkip = std::numeric_limits<std::size_t>::max();
 /// Pair-list rebuild trigger: half the skin, less a margin that absorbs the
 /// rounding of the distance arithmetic (~1e-14 A at these lengths).
 constexpr double kMaxDrift = 0.5 * NativeRealKernel::kListSkin - 1e-9;
-/// Most list entries evaluated per pair_range call in N^2 mode (the store-
-/// buffer stride there), so the buffers no longer scale with N.
+/// Most slots evaluated per pair_range call (the store-buffer stride), and
+/// the longest candidate piece the cell-mode filter measures at once, so
+/// the buffers scale with neither N nor cell occupancy.
 constexpr std::size_t kListBlock = 256;
+/// Relative padding of the filter's cutoff: the filter and pair_range may
+/// round r^2 differently (FMA contraction under -march=native), so the
+/// filter keeps a margin and pair_range's mask stays the authority; a pair
+/// kept by the margin alone adds exact zeros.
+constexpr double kFilterPad = 1e-12;
 
 /// Minimum image of a coordinate difference by compare-blend: coordinates
 /// are wrapped into [0, box), so at most one correction applies. Both
 /// masks read the input d, which lets GCC vectorize a loop around this
-/// (the list-build distance pass; the pair loop stays scalar, see the
-/// header); for |d| < box it equals correcting d in place, bit for bit.
+/// (the distance passes of the list build and the filter; the pair loop
+/// stays scalar, see the header); for |d| < box it equals correcting d in
+/// place, bit for bit.
 inline double min_image(double d, double box, double half) {
   const double lo = d < -half ? box : 0.0;
   const double hi = d > half ? box : 0.0;
@@ -75,30 +80,35 @@ NativeRealKernel::NativeRealKernel(const Config& config)
 }
 
 /// The inner loop: one i particle against slots[0..len). Two passes — a
-/// straight-line compute pass (loads are unit-stride for a Run), then a
-/// scalar sum of the 6-lane store buffer (strict-FP reductions do not
-/// vectorize; this keeps the summation order explicit and deterministic).
-/// Splitting one i's partners over several calls leaves every sum's order,
-/// and so every bit, unchanged.
-template <bool kNewton, typename Slots>
-void NativeRealKernel::pair_range(double xi, double yi, double zi,
-                                  double qi_ke, const double* cb,
-                                  const double* c6r, const double* d8r,
-                                  const double* shr, Slots slots,
-                                  std::size_t len, std::size_t skip,
-                                  double* jfx, double* jfy, double* jfz,
-                                  double* tmp, Acc& acc) const {
+/// straight-line compute pass, then a scalar sum of the 6-lane store buffer
+/// (strict-FP reductions do not vectorize; this keeps the summation order
+/// explicit and deterministic). Splitting one i's partners over several
+/// calls leaves every sum's order, and so every bit, unchanged.
+template <bool kNewton>
+void NativeRealKernel::pair_range(std::size_t a, const std::uint32_t* slots,
+                                  std::size_t len, double* jfx, double* jfy,
+                                  double* jfz, double* tmp, Acc& acc) const {
+  const double xi = xs_[a];
+  const double yi = ys_[a];
+  const double zi = zs_[a];
+  const double qi_ke = units::kCoulomb * qs_[a];
+  // Coefficient rows of i's species.
+  const std::size_t base = static_cast<std::size_t>(ts_[a]) * xs_.size();
+  const double* cb = cb_.data() + base;
+  const double* c6r = cc6_.data() + base;
+  const double* d8r = cd8_.data() + base;
+  const double* shr = csh_.data() + base;
   const double box = cfg_.box;
   const double half = 0.5 * box;
   const double cutoff2 = cutoff2_;
   const double beta = cfg_.beta;
   const double inv_rho = inv_rho_;
   double* t_fx = tmp;
-  double* t_fy = tmp + tmp_stride_;
-  double* t_fz = tmp + 2 * tmp_stride_;
-  double* t_pot = tmp + 3 * tmp_stride_;
-  double* t_vir = tmp + 4 * tmp_stride_;
-  double* t_cnt = tmp + 5 * tmp_stride_;
+  double* t_fy = tmp + kListBlock;
+  double* t_fz = tmp + 2 * kListBlock;
+  double* t_pot = tmp + 3 * kListBlock;
+  double* t_vir = tmp + 4 * kListBlock;
+  double* t_cnt = tmp + 5 * kListBlock;
 
   for (std::size_t k = 0; k < len; ++k) {
     const std::size_t j = slots[k];
@@ -106,9 +116,9 @@ void NativeRealKernel::pair_range(double xi, double yi, double zi,
     const double dy = min_image(yi - ys_[j], box, half);
     const double dz = min_image(zi - zs_[j], box, half);
     const double r2 = dx * dx + dy * dy + dz * dz;
-    const bool in = (r2 < cutoff2) & (j != skip);
-    // Masked-out lanes (incl. the self slot at r = 0) evaluate at r = 1 so
-    // every intermediate stays finite; their results blend to zero below.
+    const bool in = r2 < cutoff2;
+    // Masked-out lanes evaluate at r = 1 so every intermediate stays
+    // finite; their results blend to zero below.
     const double r2g = in ? r2 : 1.0;
     const double r = std::sqrt(r2g);
     const double inv_r = 1.0 / r;
@@ -153,6 +163,60 @@ void NativeRealKernel::pair_range(double xi, double yi, double zi,
     acc.vir += t_vir[k];
     acc.pairs += t_cnt[k];
   }
+}
+
+/// Filter, then evaluate: slot a against the candidate ranges [jb, je)
+/// that ranges(take) passes to take(jb, je), in visit order. Each range is
+/// measured in pieces of at most kListBlock slots: a distance-only pass
+/// (the loop shape of maintain_list's, which vectorizes) writes r^2 into
+/// store lane 0, then a branch-free compaction appends the slots inside
+/// the padded cutoff, except a itself, to `slots`. pair_range runs whenever
+/// the next piece could overflow the block, and once at the end, so a
+/// meets its kept partners in the order of the ranges. Returns the number
+/// of slots evaluated.
+template <bool kNewton, typename Ranges>
+std::size_t NativeRealKernel::filter_eval(std::size_t a, Ranges&& ranges,
+                                          double* jfx, double* jfy,
+                                          double* jfz, double* tmp,
+                                          std::uint32_t* slots,
+                                          Acc& acc) const {
+  const double box = cfg_.box;
+  const double half = 0.5 * box;
+  const double limit2 = cutoff2_ * (1.0 + kFilterPad);
+  const double* xs = xs_.data();
+  const double* ys = ys_.data();
+  const double* zs = zs_.data();
+  const double xi = xs[a];
+  const double yi = ys[a];
+  const double zi = zs[a];
+  // Lane 0 is free again once a piece is compacted: pair_range only runs
+  // between pieces.
+  double* r2 = tmp;
+  std::size_t len = 0;
+  std::size_t evaluated = 0;
+  const auto eval = [&] {
+    pair_range<kNewton>(a, slots, len, jfx, jfy, jfz, tmp, acc);
+    evaluated += len;
+    len = 0;
+  };
+  ranges([&](std::size_t jb, std::size_t je) {
+    for (; jb < je; jb += kListBlock) {
+      const std::size_t piece = std::min(je - jb, kListBlock);
+      if (len + piece > kListBlock) eval();
+      for (std::size_t m = 0; m < piece; ++m) {
+        const double dx = min_image(xi - xs[jb + m], box, half);
+        const double dy = min_image(yi - ys[jb + m], box, half);
+        const double dz = min_image(zi - zs[jb + m], box, half);
+        r2[m] = dx * dx + dy * dy + dz * dz;
+      }
+      for (std::size_t m = 0; m < piece; ++m) {
+        slots[len] = static_cast<std::uint32_t>(jb + m);
+        len += (r2[m] < limit2) & (jb + m != a);
+      }
+    }
+  });
+  if (len != 0) eval();
+  return evaluated;
 }
 
 void NativeRealKernel::prepare(const SoaParticles& soa) {
@@ -216,31 +280,18 @@ void NativeRealKernel::prepare(const SoaParticles& soa) {
   }
 }
 
-void NativeRealKernel::ensure_scratch(std::size_t n, int chunks,
-                                      std::size_t n2_stride) {
-  // Store buffers must cover the longest j-range: n2_stride slots in N^2
-  // mode, one cell's occupancy otherwise.
-  std::size_t stride = n2_stride;
-  if (!n2_) {
-    std::uint32_t max_occ = 1;
-    for (int c = 0; c < cells_.cell_count(); ++c)
-      max_occ = std::max(max_occ, cells_.cell_range(c).size());
-    stride = max_occ;
-  }
-  if (n == scr_slots_ && chunks == scr_chunks_ && stride <= tmp_stride_)
-    return;
+void NativeRealKernel::ensure_scratch(std::size_t n, int chunks) {
+  if (n == scr_slots_ && chunks == scr_chunks_) return;
   scr_slots_ = n;
   scr_chunks_ = chunks;
-  tmp_stride_ = std::max(stride, tmp_stride_);
   const std::size_t cn = static_cast<std::size_t>(chunks) * n;
   jfx_.assign(cn, 0.0);
   jfy_.assign(cn, 0.0);
   jfz_.assign(cn, 0.0);
   dirty_.assign(static_cast<std::size_t>(chunks), {0, 0});
   tally_.assign(static_cast<std::size_t>(chunks), {});
-  tmp_.resize(static_cast<std::size_t>(chunks) * 6 * tmp_stride_);
-  if (n2_)
-    block_slots_.resize(static_cast<std::size_t>(chunks) * tmp_stride_);
+  tmp_.resize(static_cast<std::size_t>(chunks) * 6 * kListBlock);
+  block_slots_.resize(static_cast<std::size_t>(chunks) * kListBlock);
 }
 
 bool NativeRealKernel::maintain_list(const SoaParticles& soa, int chunks,
@@ -269,7 +320,7 @@ bool NativeRealKernel::maintain_list(const SoaParticles& soa, int chunks,
   const double half = 0.5 * box;
   const double r_list2 = (cfg_.r_cut + kListSkin) * (cfg_.r_cut + kListSkin);
   for_each_chunk(pool, chunks, [&](std::size_t k) {
-    double* r2 = tmp_.data() + k * 6 * tmp_stride_;
+    double* r2 = tmp_.data() + k * 6 * kListBlock;
     const std::size_t i_end = (k + 1) * n / static_cast<std::size_t>(chunks);
     for (std::size_t i = k * n / static_cast<std::size_t>(chunks); i < i_end;
          ++i) {
@@ -299,7 +350,8 @@ void NativeRealKernel::run_chunk(std::size_t k, int chunks, std::size_t n) {
   double* jfx = jfx_.data() + k * n;
   double* jfy = jfy_.data() + k * n;
   double* jfz = jfz_.data() + k * n;
-  double* tmp = tmp_.data() + k * 6 * tmp_stride_;
+  double* tmp = tmp_.data() + k * 6 * kListBlock;
+  std::uint32_t* slots = block_slots_.data() + k * kListBlock;
   std::uint32_t lo = static_cast<std::uint32_t>(n);
   std::uint32_t hi = 0;
   ChunkTally tally;
@@ -320,22 +372,17 @@ void NativeRealKernel::run_chunk(std::size_t k, int chunks, std::size_t n) {
 
   if (n2_) {
     // Each i's list row, decoded in ascending j into blocks of at most
-    // tmp_stride_ slots (a row word adds up to 64).
-    std::uint32_t* slots = block_slots_.data() + k * tmp_stride_;
+    // kListBlock slots (a row word adds up to 64).
     const std::size_t words = (n + 63) / 64;
     const std::size_t i_begin = k * n / static_cast<std::size_t>(chunks);
     const std::size_t i_end = (k + 1) * n / static_cast<std::size_t>(chunks);
     for (std::size_t i = i_begin; i < i_end; ++i) {
-      const std::size_t base = static_cast<std::size_t>(ts_[i]) * n;
       const std::uint64_t* row = list_.data() + row_word_[i];
       const std::size_t w0 = (i + 1) / 64;
       Acc acc;
       std::size_t len = 0;
       const auto eval = [&] {
-        pair_range<true>(xs_[i], ys_[i], zs_[i], units::kCoulomb * qs_[i],
-                         cb_.data() + base, cc6_.data() + base,
-                         cd8_.data() + base, csh_.data() + base, slots, len,
-                         kNoSkip, jfx, jfy, jfz, tmp, acc);
+        pair_range<true>(i, slots, len, jfx, jfy, jfz, tmp, acc);
         tally.candidates += len;
         len = 0;
       };
@@ -343,7 +390,7 @@ void NativeRealKernel::run_chunk(std::size_t k, int chunks, std::size_t n) {
         for (std::uint64_t bits = row[w - w0]; bits != 0; bits &= bits - 1)
           slots[len++] =
               static_cast<std::uint32_t>(64 * w + std::countr_zero(bits));
-        if (len + 64 > tmp_stride_) eval();
+        if (len + 64 > kListBlock) eval();
       }
       if (len != 0) eval();
       touch(static_cast<std::uint32_t>(i + 1), static_cast<std::uint32_t>(n));
@@ -362,30 +409,27 @@ void NativeRealKernel::run_chunk(std::size_t k, int chunks, std::size_t n) {
       const int ix = c % m;
       const int iy = (c / m) % m;
       const int iz = c / (m * m);
+      std::array<CellList::Range, std::size(CellList::kHalfStencil)> fwd;
+      for (std::size_t h = 0; h < fwd.size(); ++h) {
+        const auto& off = CellList::kHalfStencil[h];
+        fwd[h] = cells_.cell_range(
+            cells_.cell_index(ix + off[0], iy + off[1], iz + off[2]));
+      }
       for (std::uint32_t a = own.begin; a < own.end; ++a) {
-        const std::size_t base = static_cast<std::size_t>(ts_[a]) * n;
-        const double* cb = cb_.data() + base;
-        const double* c6r = cc6_.data() + base;
-        const double* d8r = cd8_.data() + base;
-        const double* shr = csh_.data() + base;
-        const double qi_ke = units::kCoulomb * qs_[a];
         Acc acc;
-        // Same-cell partners after i (each unordered pair once)...
-        pair_range<true>(xs_[a], ys_[a], zs_[a], qi_ke, cb, c6r, d8r, shr,
-                         Run{a + 1u}, own.end - a - 1, kNoSkip, jfx, jfy,
-                         jfz, tmp, acc);
-        touch(a + 1, own.end);
-        // ...then the 13 forward neighbour cells of the half stencil.
-        for (const auto& off : CellList::kHalfStencil) {
-          const int nc =
-              cells_.cell_index(ix + off[0], iy + off[1], iz + off[2]);
-          const CellList::Range other = cells_.cell_range(nc);
-          if (other.size() == 0) continue;
-          pair_range<true>(xs_[a], ys_[a], zs_[a], qi_ke, cb, c6r, d8r, shr,
-                           Run{other.begin}, other.size(), kNoSkip, jfx, jfy,
-                           jfz, tmp, acc);
-          touch(other.begin, other.end);
-        }
+        // Same-cell partners after i (each unordered pair once), then the
+        // 13 forward neighbour cells of the half stencil.
+        const auto ranges = [&](auto&& take) {
+          take(a + 1, own.end);
+          touch(a + 1, own.end);
+          for (const CellList::Range other : fwd) {
+            if (other.size() == 0) continue;
+            take(other.begin, other.end);
+            touch(other.begin, other.end);
+          }
+        };
+        tally.candidates +=
+            filter_eval<true>(a, ranges, jfx, jfy, jfz, tmp, slots, acc);
         flush_i(a, acc);
       }
     }
@@ -404,7 +448,7 @@ ForceResult NativeRealKernel::sweep(const SoaParticles& soa,
       n2_ ? n : static_cast<std::size_t>(cells_.cell_count());
   const int chunks = static_cast<int>(
       std::min<std::size_t>(CellList::kPairChunks, units ? units : 1));
-  ensure_scratch(n, chunks, std::min(n, kListBlock));
+  ensure_scratch(n, chunks);
   if (n2_ && maintain_list(soa, chunks, pool)) {
     static obs::Counter& rebuilds =
         obs::Registry::global().counter("native.pair_list.rebuilds");
@@ -454,21 +498,15 @@ ForceResult NativeRealKernel::one_sided(const SoaParticles& soa,
   MDM_TRACE_SCOPE("native.real_space_one_sided");
   prepare(soa);
   const std::size_t n = soa.size();
-  ensure_scratch(n, 1, n);
-  double* tmp = tmp_.data();
+  ensure_scratch(n, 1);
   ForceResult result;
   double pairs = 0.0;
+  std::uint64_t candidates = 0;
 
   const auto eval_i = [&](std::size_t slot, std::size_t id, auto&& ranges) {
-    const std::size_t base = static_cast<std::size_t>(ts_[slot]) * n;
     Acc acc;
-    ranges([&](std::uint32_t jb, std::uint32_t je) {
-      pair_range<false>(xs_[slot], ys_[slot], zs_[slot],
-                        units::kCoulomb * qs_[slot], cb_.data() + base,
-                        cc6_.data() + base, cd8_.data() + base,
-                        csh_.data() + base, Run{jb}, je - jb, slot, nullptr,
-                        nullptr, nullptr, tmp, acc);
-    });
+    candidates += filter_eval<false>(slot, ranges, nullptr, nullptr, nullptr,
+                                     tmp_.data(), block_slots_.data(), acc);
     forces[id] += Vec3{acc.fx, acc.fy, acc.fz};
     result.potential += acc.pot;
     result.virial += acc.vir;
@@ -477,9 +515,7 @@ ForceResult NativeRealKernel::one_sided(const SoaParticles& soa,
 
   if (n2_) {
     for (std::size_t i = 0; i < std::min(n_i, n); ++i)
-      eval_i(i, i, [&](auto&& range) {
-        range(0, static_cast<std::uint32_t>(n));
-      });
+      eval_i(i, i, [&](auto&& take) { take(0, n); });
   } else {
     const auto order = cells_.order();
     for (int c = 0; c < cells_.cell_count(); ++c) {
@@ -489,19 +525,23 @@ ForceResult NativeRealKernel::one_sided(const SoaParticles& soa,
       for (std::uint32_t a = own.begin; a < own.end; ++a) {
         const std::uint32_t id = order[a];
         if (id >= n_i) continue;  // halo particle: no force wanted
-        eval_i(a, id, [&](auto&& range) {
+        eval_i(a, id, [&](auto&& take) {
           for (const int nc : neigh) {
             const CellList::Range r = cells_.cell_range(nc);
-            if (r.size() != 0) range(r.begin, r.end);
+            take(r.begin, r.end);
           }
         });
       }
     }
   }
   last_pairs_ = static_cast<std::uint64_t>(pairs);
+  last_candidates_ = candidates;
   static obs::Counter& pair_counter =
       obs::Registry::global().counter("native.real_pairs");
+  static obs::Counter& candidate_counter =
+      obs::Registry::global().counter("native.pair_list.candidates");
   pair_counter.add(last_pairs_);
+  candidate_counter.add(candidates);
   return result;
 }
 

@@ -5,17 +5,30 @@
 ///
 /// One fused sweep evaluates the erfc-damped Ewald real-space force (paper
 /// eq. 2) and, optionally, the Tosi-Fumi short-range terms (eq. 15) — the
-/// work MDGRAPE-2 performs in three separate emulated passes. The loop body
-/// is straight-line arithmetic written with vectorization in mind:
+/// work MDGRAPE-2 performs in three separate emulated passes.
 ///
-///  * particle data come from cell-sorted structure-of-arrays streams, so
-///    a neighbour cell's particles are unit-stride loads;
+/// Filter, then evaluate. Unlike the hardware's 27-cell scan (sec. 6.1),
+/// the force expression sees only pairs inside the cutoff. Every cell-mode
+/// traversal and both branches of one_sided first run an i's candidate
+/// ranges, in pieces of at most 256 slots, through a distance-only pass
+/// that writes r^2 into a store buffer (it vectorizes), then a branch-free
+/// compaction that appends the kept slots in visit order. The filter keeps
+/// r^2 < r_cut^2 (1 + 1e-12): under -march=native GCC may contract the two
+/// r^2 expressions differently (FMA), so pair_range's own mask stays the
+/// authority and a pair kept only by the margin adds exact zeros. Each i
+/// meets its kept partners in the dense traversal's order and a dropped
+/// pair only ever added +-0 to sums that are never -0, so results are
+/// bit-identical to evaluating every candidate.
+///
+/// The force pass (pair_range) is straight-line arithmetic written with
+/// vectorization in mind:
+///
 ///  * minimum image is two compare-blend corrections (positions are
 ///    pre-wrapped, so |dx| < box), not a libm rounding call;
 ///  * erfc/exp use the branch-free rationals of core/fastmath.hpp;
 ///  * the cutoff test is a mask (forces blend to zero), not a branch;
 ///  * Tosi-Fumi coefficients are per-slot streams pre-gathered per i-species
-///    row, so species lookup is a contiguous load, never a gather;
+///    row, so species lookup is one load per slot, never a type lookup;
 ///  * per-i sums (force, potential, virial) go through small store buffers
 ///    with a separate accumulation pass, because GCC will not vectorize a
 ///    floating-point reduction under strict FP semantics.
@@ -46,8 +59,9 @@
 /// results are bit-identical to sweeping every pair, whenever the list was
 /// built. Rows are whole 64-bit words, ~N^2/16 bytes (1 MB at N = 4096;
 /// software_parameters reach this mode up to N ~ 6,200, 2.4 MB). Rows are
-/// evaluated in blocks of at most 256 entries, so the store buffers no
-/// longer scale with N and a rebuild never allocates.
+/// evaluated in blocks of at most 256 entries, as the filtered traversals
+/// are, so the store buffers scale with neither N nor cell occupancy and a
+/// rebuild never allocates.
 
 #include <array>
 #include <cstdint>
@@ -99,8 +113,9 @@ class NativeRealKernel {
 
   /// In-range pair interactions evaluated by the last sweep/one_sided call.
   std::uint64_t last_pairs() const { return last_pairs_; }
-  /// Pairs the last N^2-mode sweep evaluated (its list length; 0 in cell
-  /// mode) and the number of pair-list builds this kernel has run.
+  /// Pairs that reached the force expression in the last sweep/one_sided
+  /// call (the list length in an N^2-mode sweep, the filtered candidates
+  /// otherwise) and the number of pair-list builds this kernel has run.
   std::uint64_t last_candidates() const { return last_candidates_; }
   std::uint64_t list_builds() const { return list_builds_; }
   const CellList& cells() const { return cells_; }
@@ -119,26 +134,25 @@ class NativeRealKernel {
     double fx = 0, fy = 0, fz = 0, pot = 0, vir = 0, pairs = 0;
   };
 
-  /// Slots jb, jb + 1, ...: a contiguous range, indexed like a slot list.
-  struct Run {
-    std::size_t jb;
-    std::size_t operator[](std::size_t k) const { return jb + k; }
-  };
-
   /// Maintain the cell list (build_auto, cell mode only) and regather the
   /// sorted streams.
   void prepare(const SoaParticles& soa);
-  /// Size the per-chunk scratch; N^2-mode store buffers get n2_stride.
-  void ensure_scratch(std::size_t n, int chunks, std::size_t n2_stride);
+  /// Size the per-chunk scratch for n slots; the store buffers and the
+  /// slot block are a fixed kListBlock wide.
+  void ensure_scratch(std::size_t n, int chunks);
 
-  /// One i particle against slots[0..len), skipping slot `skip`. `Slots`
-  /// is Run (a contiguous range) or a pointer into a decoded list row.
-  template <bool kNewton, typename Slots>
-  void pair_range(double xi, double yi, double zi, double qi_ke,
-                  const double* cb, const double* c6r, const double* d8r,
-                  const double* shr, Slots slots, std::size_t len,
-                  std::size_t skip, double* jfx, double* jfy, double* jfz,
-                  double* tmp, Acc& acc) const;
+  /// Slot a against slots[0..len) (at most kListBlock).
+  template <bool kNewton>
+  void pair_range(std::size_t a, const std::uint32_t* slots, std::size_t len,
+                  double* jfx, double* jfy, double* jfz, double* tmp,
+                  Acc& acc) const;
+  /// Cell-mode and one-sided traversals: filter slot a's candidate ranges
+  /// to the padded cutoff, then pair_range the kept slots. Returns the
+  /// number of slots evaluated.
+  template <bool kNewton, typename Ranges>
+  std::size_t filter_eval(std::size_t a, Ranges&& ranges, double* jfx,
+                          double* jfy, double* jfz, double* tmp,
+                          std::uint32_t* slots, Acc& acc) const;
 
   /// N^2 mode: rebuild the pair list if stale; returns true if it ran.
   bool maintain_list(const SoaParticles& soa, int chunks, ThreadPool* pool);
@@ -178,9 +192,9 @@ class NativeRealKernel {
     std::uint64_t candidates = 0;
   };
   std::vector<ChunkTally> tally_;
-  /// Per-chunk store buffers of the two-pass accumulation, 6 lanes each.
+  /// Per-chunk store buffers of the two-pass accumulation, 6 lanes of
+  /// kListBlock each (lane 0 doubles as the distance passes' r^2 buffer).
   std::vector<double> tmp_;
-  std::size_t tmp_stride_ = 0;
   std::size_t scr_slots_ = 0;
   int scr_chunks_ = 0;
 
@@ -192,7 +206,8 @@ class NativeRealKernel {
   /// Positions at the last list build (the drift anchor).
   std::vector<Vec3> anchor_;
   bool list_valid_ = false;
-  /// Per-chunk decoded slots of one list block, [chunk * tmp_stride_ + k].
+  /// Per-chunk slot block handed to pair_range (decoded list words or
+  /// filtered candidates), [chunk * kListBlock + k].
   std::vector<std::uint32_t> block_slots_;
 
   std::uint64_t last_pairs_ = 0;

@@ -104,7 +104,12 @@ double optimal_alpha(const MachineModel& machine, double n_particles,
 /// a different host.
 struct BackendCostModel {
   double emulator_ns_per_pair = 114.0;
-  double native_ns_per_pair = 271.0;
+  /// real.native_ns_per_pair of `bench_backend --cells 4 --reps 20` (N =
+  /// 512, cell mode), median of 3 runs on a 4-vCPU x86-64 host, GCC 12.2
+  /// portable Release: 112-117 ns with the filtered cell sweep, whose
+  /// force expression sees only in-cutoff pairs (218-302 ns when it ran
+  /// every stencil candidate).
+  double native_ns_per_pair = 115.0;
   double emulator_ns_per_wave = 285.0;
   double native_ns_per_wave = 6.3;
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/backend.hpp"
+#include "core/cell_list.hpp"
 #include "core/checkpoint.hpp"
 #include "core/lattice.hpp"
 #include "core/simulation.hpp"
@@ -234,27 +235,34 @@ TEST(BackendParity, N2FallbackRebuildsCoefficientsWhenSpeciesChange) {
 }
 
 TEST(BackendParity, PoolSweepBitIdenticalToSerial) {
-  const auto system = melt(3, 9);
-  const EwaldParameters params =
-      host::mdm_parameters(double(system.size()), system.box());
+  // mdm_parameters (3 cells per side: the stencil covers the box) and an
+  // explicit r_cut = L/4.5 (4 cells per side: the filter drops whole cells).
+  for (const bool four_cells : {false, true}) {
+    const auto system = melt(four_cells ? 5 : 3, 9);
+    EwaldParameters params =
+        host::mdm_parameters(double(system.size()), system.box());
+    if (four_cells) params.r_cut = system.box() / 4.5;
+    ASSERT_EQ(CellList(system.box(), params.r_cut).cells_per_side(),
+              four_cells ? 4 : 3);
 
-  native::NativeForceField serial(native_config(params), system.box());
-  std::vector<Vec3> serial_forces(system.size());
-  const ForceResult a = serial.add_real_space(system, serial_forces);
+    native::NativeForceField serial(native_config(params), system.box());
+    std::vector<Vec3> serial_forces(system.size());
+    const ForceResult a = serial.add_real_space(system, serial_forces);
 
-  ThreadPool pool(4);
-  native::NativeForceField pooled(native_config(params), system.box());
-  pooled.set_thread_pool(&pool);
-  std::vector<Vec3> pooled_forces(system.size());
-  const ForceResult b = pooled.add_real_space(system, pooled_forces);
+    ThreadPool pool(4);
+    native::NativeForceField pooled(native_config(params), system.box());
+    pooled.set_thread_pool(&pool);
+    std::vector<Vec3> pooled_forces(system.size());
+    const ForceResult b = pooled.add_real_space(system, pooled_forces);
 
-  for (std::size_t i = 0; i < system.size(); ++i) {
-    EXPECT_EQ(serial_forces[i].x, pooled_forces[i].x) << i;
-    EXPECT_EQ(serial_forces[i].y, pooled_forces[i].y) << i;
-    EXPECT_EQ(serial_forces[i].z, pooled_forces[i].z) << i;
+    for (std::size_t i = 0; i < system.size(); ++i) {
+      EXPECT_EQ(serial_forces[i].x, pooled_forces[i].x) << i;
+      EXPECT_EQ(serial_forces[i].y, pooled_forces[i].y) << i;
+      EXPECT_EQ(serial_forces[i].z, pooled_forces[i].z) << i;
+    }
+    EXPECT_EQ(a.potential, b.potential);
+    EXPECT_EQ(a.virial, b.virial);
   }
-  EXPECT_EQ(a.potential, b.potential);
-  EXPECT_EQ(a.virial, b.virial);
 }
 
 // --- the N^2-mode pair list: bit-identical whenever it was rebuilt --------
@@ -391,6 +399,128 @@ TEST(BackendParity, OneSidedSweepMatchesNewtonSweep) {
               1e-10 * std::fabs(nt.potential));
   EXPECT_NEAR(0.5 * os.virial, nt.virial, 1e-10 * std::fabs(nt.virial));
   EXPECT_EQ(os.potential == 0.0, false);
+}
+
+TEST(BackendParity, OneSidedRankImageMatchesReference) {
+  // A rank-shaped image as host/parallel_app builds it: the owned slab
+  // x < L/2 first, then the halo (every other ion within r_cut of the slab
+  // along x), so n_i < n. Owned forces must match the double-precision
+  // reference on the whole system. Cases: 4 cells per side (the stencil no
+  // longer covers the box); 3 cells per side at N = 1728, where each ion
+  // keeps more partners than one pair_range block holds; the N^2 mode.
+  struct Case {
+    int cells;
+    bool software;
+    double cells_per_r_cut;  // 0: keep the preset's r_cut
+  };
+  for (const Case tc : {Case{5, false, 4.5}, Case{6, false, 0.0},
+                        Case{4, true, 0.0}}) {
+    SCOPED_TRACE(tc.cells);
+    const auto system = melt(tc.cells, 13);
+    const double box = system.box();
+    const double n = double(system.size());
+    EwaldParameters params = tc.software ? software_parameters(n, box)
+                                         : host::mdm_parameters(n, box);
+    if (tc.cells_per_r_cut > 0.0) params.r_cut = box / tc.cells_per_r_cut;
+
+    std::vector<std::size_t> image;
+    for (std::size_t i = 0; i < system.size(); ++i)
+      if (system.positions()[i].x < 0.5 * box) image.push_back(i);
+    const std::size_t n_i = image.size();
+    for (std::size_t i = 0; i < system.size(); ++i) {
+      const double x = system.positions()[i].x;
+      if (x >= 0.5 * box &&
+          std::min(x - 0.5 * box, box - x) <= params.r_cut)
+        image.push_back(i);
+    }
+    ASSERT_LT(n_i, image.size());
+    std::vector<Vec3> pos;
+    std::vector<int> types;
+    for (const std::size_t i : image) {
+      pos.push_back(system.positions()[i]);
+      types.push_back(system.types()[i]);
+    }
+    const std::vector<double> charge_of = {system.species(0).charge,
+                                           system.species(1).charge};
+    native::SoaParticles soa;
+    soa.sync(box, pos, types, charge_of);
+
+    const auto rc = kernel_config(system, params);
+    native::NativeRealKernel kernel(rc);
+    std::vector<Vec3> got(image.size());
+    kernel.one_sided(soa, n_i, got);
+    ASSERT_EQ(kernel.cells().use_n2_fallback(rc.r_cut), tc.software);
+    if (tc.cells_per_r_cut > 0.0) {
+      ASSERT_GE(kernel.cells().cells_per_side(), 4);
+    }
+    EXPECT_GE(kernel.last_candidates(), kernel.last_pairs());
+
+    EwaldCoulomb reference(params, box);
+    TosiFumiShortRange short_range(TosiFumiParameters::nacl(), params.r_cut);
+    std::vector<Vec3> ref_all(system.size());
+    reference.add_real_space(system, ref_all);
+    short_range.add_forces(system, ref_all);
+    std::vector<Vec3> ref(n_i);
+    for (std::size_t k = 0; k < n_i; ++k) ref[k] = ref_all[image[k]];
+    got.resize(n_i);
+    EXPECT_LT(rms_rel_error(got, ref), 1e-12);
+  }
+}
+
+TEST(BackendParity, CutoffEdgePairsCountedByKernelArithmetic) {
+  // Two pairs along x: A-B a few ulp inside r_cut, C-D a few ulp outside
+  // (both inside the filter's padded cutoff). Exactly the pair whose r^2
+  // is below cutoff2 must be evaluated, in cell mode (r_cut = 7, 4 cells)
+  // and in N^2 mode (r_cut = 11, 2 cells), by sweep and by one_sided.
+  const double box = 30.0;
+  for (const double r_cut : {7.0, 11.0}) {
+    SCOPED_TRACE(r_cut);
+    const double cutoff2 = r_cut * r_cut;
+    const Vec3 a{1.0, 1.0, 1.0};
+    const Vec3 c{15.0, 15.0, 15.0};
+    Vec3 b{1.0 + r_cut, 1.0, 1.0};
+    Vec3 d{15.0 + r_cut, 15.0, 15.0};
+    for (int k = 0; k < 2; ++k) {
+      b.x = std::nextafter(b.x, 0.0);
+      d.x = std::nextafter(d.x, box);
+    }
+    const double r2_in = (a.x - b.x) * (a.x - b.x);
+    const double r2_out = (c.x - d.x) * (c.x - d.x);
+    ASSERT_LT(r2_in, cutoff2);
+    ASSERT_GT(r2_in, cutoff2 * (1.0 - 1e-14));
+    ASSERT_GT(r2_out, cutoff2);
+    ASSERT_LT(r2_out, cutoff2 * (1.0 + 1e-14));
+
+    const std::vector<Vec3> pos = {a, b, c, d};
+    const std::vector<int> types = {0, 1, 0, 1};
+    const std::vector<double> charge_of = {1.0, -1.0};
+    native::SoaParticles soa;
+    soa.sync(box, pos, types, charge_of);
+    native::NativeRealKernel::Config rc;
+    rc.box = box;
+    rc.beta = 0.3;
+    rc.r_cut = r_cut;
+    rc.include_tosi_fumi = true;
+    rc.tosi_fumi = TosiFumiParameters::nacl();
+
+    native::NativeRealKernel newton(rc);
+    std::vector<Vec3> newton_forces(pos.size());
+    newton.sweep(soa, newton_forces);
+    EXPECT_EQ(newton.cells().use_n2_fallback(r_cut), r_cut > box / 3.0);
+    EXPECT_EQ(newton.last_pairs(), 1u);
+
+    native::NativeRealKernel one_sided(rc);
+    std::vector<Vec3> os_forces(pos.size());
+    one_sided.one_sided(soa, pos.size(), os_forces);
+    EXPECT_EQ(one_sided.last_pairs(), 2u);
+
+    for (const auto* f : {&newton_forces, &os_forces}) {
+      EXPECT_NE((*f)[0].x, 0.0);
+      EXPECT_EQ((*f)[0].x, -(*f)[1].x);
+      EXPECT_EQ(norm2((*f)[2]), 0.0);
+      EXPECT_EQ(norm2((*f)[3]), 0.0);
+    }
+  }
 }
 
 // --- native vs the hardware emulators (the paper's envelope) ---------------
