@@ -1,11 +1,13 @@
 /// \file bench_micro.cpp
 /// Google-benchmark micro suite: throughput of the kernels every higher
 /// layer is built on - the Ewald pair kernel, the structure-factor
-/// recurrence, cell-list construction, both hardware pipelines, the trig
-/// unit and the fixed-point primitives.
+/// recurrence, cell-list construction, the PME mesh and its distributed
+/// rank step (per stage), both hardware pipelines, the trig unit and the
+/// fixed-point primitives.
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cmath>
 #include <string>
 
@@ -16,6 +18,8 @@
 #include "ewald/ewald.hpp"
 #include "ewald/parameters.hpp"
 #include "ewald/pme.hpp"
+#include "host/distributed_pme.hpp"
+#include "host/vmpi.hpp"
 #include "mdgrape2/pipeline.hpp"
 #include "util/fft.hpp"
 #include "util/fixed_point.hpp"
@@ -124,6 +128,74 @@ void BM_Fft3D(benchmark::State& state) {
 }
 BENCHMARK(BM_Fft3D)->Arg(16)->Arg(32);
 
+/// One DistributedPmeRank step at the parallel_pme_512 mesh (K = 32,
+/// order 6, N = 512 melt) over W wavenumber ranks. The reported time is
+/// rank 0's steady-state wall time per step; the *_ms counters split it
+/// into the engine's stages (PmeStageTimes), averaged per step.
+void BM_PmeRankStep(benchmark::State& state) {
+  const int w_ranks = static_cast<int>(state.range(0));
+  auto system = make_nacl_crystal(4);
+  Random rng(9);
+  for (auto& r : system.positions())
+    r += Vec3{rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3),
+              rng.uniform(-0.3, 0.3)};
+  system.wrap_positions();
+  const auto ew = software_parameters(double(system.size()), system.box());
+  const PmeParameters params =
+      validated_pme({ew.alpha, ew.r_cut, 32, 6}, system.box());
+  const auto layout = host::PmeSlabLayout::create(32, 6, w_ranks);
+  std::vector<std::vector<Vec3>> positions(w_ranks);
+  std::vector<std::vector<double>> charges(w_ranks);
+  for (std::size_t i = 0; i < system.size(); ++i) {
+    const int owner = layout.route(system.positions()[i].z, system.box());
+    positions[owner].push_back(system.positions()[i]);
+    charges[owner].push_back(system.charge(i));
+  }
+
+  constexpr int kSteps = 20;
+  host::PmeStageTimes total;
+  for (auto _ : state) {
+    double elapsed_s = 0.0;
+    host::PmeStageTimes rank0;
+    vmpi::World world(w_ranks);
+    world.run([&](vmpi::Communicator& comm) {
+      const int r = comm.rank();
+      host::DistributedPmeRank engine(params, system.box(), comm);
+      std::vector<Vec3> forces;
+      engine.step(positions[r], charges[r], forces);  // plans and buffers
+      engine.reset_stage_times();
+      comm.barrier();
+      const auto start = std::chrono::steady_clock::now();
+      for (int step = 0; step < kSteps; ++step)
+        engine.step(positions[r], charges[r], forces);
+      if (r == 0) {
+        elapsed_s = std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+        rank0 = engine.stage_times();
+      }
+    });
+    state.SetIterationTime(elapsed_s / kSteps);
+    total.steps += rank0.steps;
+    total.spline_ms += rank0.spline_ms;
+    total.spread_ms += rank0.spread_ms;
+    total.ghost_ms += rank0.ghost_ms;
+    total.fft_ms += rank0.fft_ms;
+    total.transpose_ms += rank0.transpose_ms;
+    total.convolve_ms += rank0.convolve_ms;
+    total.gather_ms += rank0.gather_ms;
+  }
+  const double steps = total.steps > 0 ? total.steps : 1;
+  state.counters["spline_ms"] = total.spline_ms / steps;
+  state.counters["spread_ms"] = total.spread_ms / steps;
+  state.counters["ghost_ms"] = total.ghost_ms / steps;
+  state.counters["fft_ms"] = total.fft_ms / steps;
+  state.counters["transpose_ms"] = total.transpose_ms / steps;
+  state.counters["convolve_ms"] = total.convolve_ms / steps;
+  state.counters["gather_ms"] = total.gather_ms / steps;
+}
+BENCHMARK(BM_PmeRankStep)->Arg(1)->Arg(2)->UseManualTime();
+
 void BM_Mdgrape2Pipeline(benchmark::State& state) {
   const double box = 40.0;
   const double charges[2] = {+1.0, -1.0};
@@ -229,10 +301,12 @@ class ReportingConsole : public benchmark::ConsoleReporter {
         if (c == '/') c = '.';
       report_.add(key + ".time_per_iter", run.GetAdjustedRealTime(),
                   benchmark::GetTimeUnitString(run.time_unit));
-      const auto items = run.counters.find("items_per_second");
-      if (items != run.counters.end())
-        report_.add(key + ".items_per_second", items->second.value,
-                    "items/s");
+      for (const auto& [name, counter] : run.counters) {
+        if (name == "items_per_second")
+          report_.add(key + ".items_per_second", counter.value, "items/s");
+        else if (name.ends_with("_ms"))
+          report_.add(key + "." + name, counter.value, "ms");
+      }
     }
   }
 

@@ -1,5 +1,6 @@
 #include "ewald/pme.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -35,19 +36,22 @@ SmoothPme::SmoothPme(PmeParameters params, double box)
     : params_(validated_pme(params, box)),
       box_(box),
       beta_(params.alpha / box),
-      grid_(static_cast<std::size_t>(params.grid)),
       real_cells_(box, params.r_cut) {
+  const std::size_t k = static_cast<std::size_t>(params_.grid);
+  mesh_.resize(k * k * k);
+  spec_.resize(k * k * half_length(k));
   build_influence();
 }
 
 void SmoothPme::build_influence() {
   const int k = params_.grid;
+  const int h = static_cast<int>(half_length(static_cast<std::size_t>(k)));
   const std::vector<double> b2 = pme::axis_b2(k, params_.order);
-  influence_.assign(static_cast<std::size_t>(k) * k * k, 0.0);
+  influence_.assign(spec_.size(), 0.0);
   for (int nz = 0; nz < k; ++nz)
     for (int ny = 0; ny < k; ++ny)
-      for (int nx = 0; nx < k; ++nx)
-        influence_[(std::size_t(nz) * k + ny) * k + nx] =
+      for (int nx = 0; nx < h; ++nx)
+        influence_[(std::size_t(nz) * k + ny) * h + nx] =
             pme::influence_theta(nx, ny, nz, k, params_.alpha, b2);
 }
 
@@ -55,78 +59,53 @@ double SmoothPme::add_reciprocal(const ParticleSystem& system,
                                  std::span<Vec3> forces) {
   const int k = params_.grid;
   const int p = params_.order;
+  const std::size_t plane_size = static_cast<std::size_t>(k) * k;
   const auto positions = system.positions();
   const std::size_t n = system.size();
 
   spread_.resize(n);
-  auto& spread = spread_;
+  for (std::size_t i = 0; i < n; ++i)
+    pme::spline_weights(positions[i], box_, k, p, spread_[i]);
 
-  grid_.clear();
+  double* planes[pme::kMaxOrder];
+  std::fill(mesh_.begin(), mesh_.end(), 0.0);
   for (std::size_t i = 0; i < n; ++i) {
-    const double q = system.charge(i);
-    pme::SplineWeights& s = spread[i];
-    pme::spline_weights(positions[i], box_, k, p, s);
-    for (int jz = 0; jz < p; ++jz) {
-      const int gz = ((s.base[2] - jz) % k + k) % k;
-      for (int jy = 0; jy < p; ++jy) {
-        const int gy = ((s.base[1] - jy) % k + k) % k;
-        const double wyz = s.w[1][jy] * s.w[2][jz] * q;
-        for (int jx = 0; jx < p; ++jx) {
-          const int gx = ((s.base[0] - jx) % k + k) % k;
-          grid_.at(gx, gy, gz) += wyz * s.w[0][jx];
-        }
-      }
-    }
+    const pme::SplineWeights& s = spread_[i];
+    for (int jz = 0; jz < p; ++jz)
+      planes[jz] = mesh_.data() + s.index[2][jz] * plane_size;
+    pme::spread_particle(s, p, k, system.charge(i), planes);
   }
 
-  // A(n) = F^-(Q)(n) = conj(F^+(Q)(n)) for real Q.
-  grid_.transform(false);
+  // A(n) = F^-(Q)(n) = conj(F^+(Q)(n)) for real Q; the half spectrum holds
+  // F^+(Q) for x frequencies 0..K/2.
+  rfft3d(mesh_.data(), spec_.data(), static_cast<std::size_t>(k));
 
-  // Energy E = (k_e / (2 pi L)) sum_n theta(n) |F^+(Q)(n)|^2 and the
-  // convolution G-hat(n) = theta(n) F^+(Q)(n) = theta(n) conj(A(n)).
-  double energy = 0.0;
-  for (std::size_t idx = 0; idx < grid_.size(); ++idx) {
-    const double theta = influence_[idx];
-    const Complex a = grid_.data()[idx];
-    energy += theta * std::norm(a);
-    grid_.data()[idx] = theta * std::conj(a);
-  }
+  // Energy E = (k_e / (2 pi L)) sum_n theta(n) |F^+(Q)(n)|^2 over the full
+  // spectrum, then phi(k_grid) = (k_e / (pi L)) F^+(theta conj F^+(Q)),
+  // which is real and equals the unscaled backward C2R of theta F^+(Q).
+  double energy = pme::convolve_half(spec_.data(), influence_.data(),
+                                     plane_size, k);
   energy *= units::kCoulomb / (2.0 * kPi * box_);
-
-  // phi(k_grid) = (k_e / (pi L)) F^-(G-hat)(k_grid)  (real by symmetry).
-  grid_.transform(false);
+  irfft3d(spec_.data(), mesh_.data(), static_cast<std::size_t>(k));
 
   // Gather forces: F_i = -q_i sum_grid grad(w_i) phi, du/dx = K / L.
   // Analytic-differentiation SPME does not conserve momentum exactly (the
   // spline interpolation breaks Newton's third law at the mesh-error
   // level); the customary fix, applied below, subtracts the mean force.
-  const double phi_pref = units::kCoulomb / (kPi * box_);
-  const double scale = static_cast<double>(k) / box_;
-  recip_.assign(n, Vec3{});
-  auto& recip = recip_;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double q = system.charge(i);
-    const pme::SplineWeights& s = spread[i];
-    Vec3 f;
-    for (int jz = 0; jz < p; ++jz) {
-      const int gz = ((s.base[2] - jz) % k + k) % k;
-      for (int jy = 0; jy < p; ++jy) {
-        const int gy = ((s.base[1] - jy) % k + k) % k;
-        for (int jx = 0; jx < p; ++jx) {
-          const int gx = ((s.base[0] - jx) % k + k) % k;
-          const double phi = phi_pref * grid_.at(gx, gy, gz).real();
-          f.x += s.dw[0][jx] * s.w[1][jy] * s.w[2][jz] * phi;
-          f.y += s.w[0][jx] * s.dw[1][jy] * s.w[2][jz] * phi;
-          f.z += s.w[0][jx] * s.w[1][jy] * s.dw[2][jz] * phi;
-        }
-      }
-    }
-    recip[i] = (-q * scale) * f;
-  }
+  const double force_pref =
+      units::kCoulomb / (kPi * box_) * static_cast<double>(k) / box_;
+  recip_.resize(n);
   Vec3 net;
-  for (const auto& f : recip) net += f;
+  for (std::size_t i = 0; i < n; ++i) {
+    const pme::SplineWeights& s = spread_[i];
+    for (int jz = 0; jz < p; ++jz)
+      planes[jz] = mesh_.data() + s.index[2][jz] * plane_size;
+    recip_[i] = (-system.charge(i) * force_pref) *
+                pme::gather_particle(s, p, k, planes);
+    net += recip_[i];
+  }
   net /= static_cast<double>(n);
-  for (std::size_t i = 0; i < n; ++i) forces[i] += recip[i] - net;
+  for (std::size_t i = 0; i < n; ++i) forces[i] += recip_[i] - net;
   return energy;
 }
 

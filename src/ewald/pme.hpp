@@ -8,8 +8,9 @@
 /// provides exactly that comparison baseline:
 ///
 ///  * real-space part: identical erfc sum to the exact Ewald solver;
-///  * reciprocal part: cardinal-B-spline charge spreading onto a K^3 grid,
-///    3D FFT, the Essmann influence function
+///  * reciprocal part: cardinal-B-spline charge spreading onto a real K^3
+///    grid, a real-to-complex 3D FFT onto the half spectrum, the Essmann
+///    influence function
 ///    theta(n) = exp(-pi^2 n^2/alpha^2)/n^2 * |b1 b2 b3|^2,
 ///    and analytic B-spline-derivative interpolation of the forces.
 ///
@@ -43,7 +44,7 @@ class SmoothPme final : public ForceField {
 
   /// Run the real-space pair sweep on a thread pool (nullptr = serial);
   /// forces are bit-identical to serial at any pool size. The mesh part
-  /// stays serial (the FFT dominates and is not parallelised here).
+  /// stays serial (it is not parallelised here).
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
 
   /// Reciprocal-space piece alone (spread + FFT + convolution + gather);
@@ -64,8 +65,9 @@ class SmoothPme final : public ForceField {
   PmeParameters params_;
   double box_;
   double beta_;
-  Grid3D grid_;
-  std::vector<double> influence_;  ///< theta-hat per grid point (n = 0 -> 0)
+  std::vector<double> mesh_;       ///< real K^3 charge, then potential, mesh
+  std::vector<Complex> spec_;      ///< half spectrum [(kz*K + ky)*H + kx]
+  std::vector<double> influence_;  ///< theta per spec_ mode (n = 0 -> 0)
   ThreadPool* pool_ = nullptr;
   // Reusable step scratch (no steady-state allocations).
   CellList real_cells_;

@@ -1,7 +1,10 @@
 #include "host/distributed_pme.hpp"
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <numbers>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -22,6 +25,17 @@ enum PmeTag : int {
   kGhostPhi = 7307,
   kPmeReduce = 7309,
 };
+
+/// recv_into `buf` and require the layout-determined element count.
+template <typename T>
+void receive_block(vmpi::Communicator& comm, int source, int tag,
+                   std::vector<T>& buf, std::size_t expected) {
+  comm.recv_into(source, tag, buf);
+  if (buf.size() != expected)
+    throw std::runtime_error("distributed PME: message of " +
+                             std::to_string(buf.size()) + " elements, " +
+                             std::to_string(expected) + " expected");
+}
 
 }  // namespace
 
@@ -61,52 +75,48 @@ DistributedPmeRank::DistributedPmeRank(const PmeParameters& params,
     : params_(params),
       box_(box),
       comm_(comm),
-      layout_(PmeSlabLayout::create(params.grid, params.order, comm.size())),
-      b2_(pme::axis_b2(params.grid, params.order)) {
+      layout_(PmeSlabLayout::create(params.grid, params.order, comm.size())) {
   first_ = layout_.first_plane(comm_.rank());
   ghost_ = layout_.ghost_planes();
   const std::size_t k = static_cast<std::size_t>(layout_.grid);
   const std::size_t s = static_cast<std::size_t>(layout_.planes);
-  // Influence function over this rank's y-slab, matching the transposed
-  // buffer layout [(y_local*K + x)*K + z].
-  theta_.resize(s * k * k);
+  half_ = half_length(k);
+  // Influence function over this rank's y-slab of the half spectrum,
+  // matching the transposed buffer layout [(y_local*K + z)*H + kx].
+  const std::vector<double> b2 = pme::axis_b2(params.grid, params.order);
+  theta_.resize(s * k * half_);
   for (std::size_t yl = 0; yl < s; ++yl)
-    for (std::size_t x = 0; x < k; ++x)
-      for (std::size_t z = 0; z < k; ++z)
-        theta_[(yl * k + x) * k + z] = pme::influence_theta(
+    for (std::size_t z = 0; z < k; ++z)
+      for (std::size_t x = 0; x < half_; ++x)
+        theta_[(yl * k + z) * half_ + x] = pme::influence_theta(
             static_cast<int>(x), first_ + static_cast<int>(yl),
-            static_cast<int>(z), layout_.grid, params_.alpha, b2_);
-  accum_.resize((ghost_ + layout_.planes) * k * k);
-  slab_.resize(s * k * k);
-  t_.resize(s * k * k);
-  phi_.resize((ghost_ + layout_.planes) * k * k);
-  plane_buf_.resize(k * k);
-  pack_buf_.resize(s * s * k);
+            static_cast<int>(z), layout_.grid, params_.alpha, b2);
+  window_.resize((ghost_ + layout_.planes) * k * k);
+  slab_.resize(s * k * half_);
+  t_.resize(s * k * half_);
+  pack_buf_.resize(s * s * half_);
+  block_buf_.reserve(s * s * half_);
+  plane_buf_.reserve(k * k);
+  reduce_.reserve(5);
+}
+
+template <typename Plane>
+void DistributedPmeRank::stencil_planes(const pme::SplineWeights& s,
+                                        Plane* window, Plane** planes) const {
+  const std::size_t plane_size =
+      static_cast<std::size_t>(layout_.grid) * layout_.grid;
+  for (int jz = 0; jz < params_.order; ++jz)
+    planes[jz] = window + window_offset(s.base[2], jz) * plane_size;
 }
 
 void DistributedPmeRank::spread(const std::vector<Vec3>& positions,
                                 const std::vector<double>& charges) {
-  const int k = layout_.grid;
-  const int p = params_.order;
-  spline_.resize(positions.size());
-  std::fill(accum_.begin(), accum_.end(), 0.0);
+  std::fill(window_.begin(), window_.end(), 0.0);
+  double* planes[pme::kMaxOrder];
   for (std::size_t i = 0; i < positions.size(); ++i) {
-    pme::SplineWeights& s = spline_[i];
-    pme::spline_weights(positions[i], box_, k, p, s);
-    const double q = charges[i];
-    for (int jz = 0; jz < p; ++jz) {
-      const std::size_t l = static_cast<std::size_t>(
-          window_offset(s.base[2], jz));
-      double* plane = accum_.data() + l * k * k;
-      for (int jy = 0; jy < p; ++jy) {
-        const int gy = ((s.base[1] - jy) % k + k) % k;
-        const double wyz = s.w[1][jy] * s.w[2][jz] * q;
-        for (int jx = 0; jx < p; ++jx) {
-          const int gx = ((s.base[0] - jx) % k + k) % k;
-          plane[gy * k + gx] += wyz * s.w[0][jx];
-        }
-      }
-    }
+    stencil_planes(spline_[i], window_.data(), planes);
+    pme::spread_particle(spline_[i], params_.order, layout_.grid, charges[i],
+                         planes);
   }
 }
 
@@ -118,9 +128,9 @@ void DistributedPmeRank::exchange_ghost_spread() {
   // strictly below the owned slab whenever it is non-empty).
   for (int j = 1; j <= ghost_; ++j) {
     const int gz = ((first_ - j) % k + k) % k;
-    const double* src = accum_.data() + (ghost_ - j) * plane_size;
-    plane_buf_.assign(src, src + plane_size);
-    comm_.send(layout_.owner_of_plane(gz), kGhostSpread, plane_buf_);
+    comm_.send(layout_.owner_of_plane(gz), kGhostSpread,
+               std::span<const double>(
+                   window_.data() + (ghost_ - j) * plane_size, plane_size));
   }
   // Receive the matching contributions into the owned slab. Both sides
   // enumerate (source rank, j) from the layout alone, in the same order, so
@@ -131,119 +141,81 @@ void DistributedPmeRank::exchange_ghost_spread() {
     for (int j = 1; j <= ghost_; ++j) {
       const int gz = ((src_first - j) % k + k) % k;
       if (layout_.owner_of_plane(gz) != w) continue;
-      const auto part = comm_.recv<double>(src, kGhostSpread);
-      double* dst = accum_.data() +
-                    (ghost_ + gz - first_) * plane_size;
-      for (std::size_t i = 0; i < plane_size; ++i) dst[i] += part[i];
+      receive_block(comm_, src, kGhostSpread, plane_buf_, plane_size);
+      double* dst = window_.data() + (ghost_ + gz - first_) * plane_size;
+      for (std::size_t i = 0; i < plane_size; ++i) dst[i] += plane_buf_[i];
     }
-  }
-  // Owned slab (real charge) -> complex FFT buffer.
-  const double* owned = accum_.data() + ghost_ * plane_size;
-  for (std::size_t i = 0; i < slab_.size(); ++i)
-    slab_[i] = Complex{owned[i], 0.0};
-}
-
-void DistributedPmeRank::transform_xy() {
-  const std::size_t k = static_cast<std::size_t>(layout_.grid);
-  for (int zl = 0; zl < layout_.planes; ++zl) {
-    Complex* plane = slab_.data() + static_cast<std::size_t>(zl) * k * k;
-    for (std::size_t y = 0; y < k; ++y)
-      fft_strided(plane + y * k, k, 1, false);
-    for (std::size_t x = 0; x < k; ++x)
-      fft_strided(plane + x, k, k, false);
   }
 }
 
 void DistributedPmeRank::transpose_forward() {
   const std::size_t k = static_cast<std::size_t>(layout_.grid);
   const std::size_t s = static_cast<std::size_t>(layout_.planes);
-  const int w = comm_.rank();
-  for (int d = 0; d < layout_.ranks; ++d) {
+  const std::size_t h = half_;
+  const std::size_t w = static_cast<std::size_t>(comm_.rank());
+  // The y block of rank d in one z plane is s contiguous x rows.
+  for (std::size_t d = 0; d < static_cast<std::size_t>(layout_.ranks); ++d) {
     if (d == w) continue;
-    std::size_t idx = 0;
-    for (std::size_t yl = 0; yl < s; ++yl) {
-      const std::size_t y = static_cast<std::size_t>(d) * s + yl;
-      for (std::size_t x = 0; x < k; ++x)
-        for (std::size_t zl = 0; zl < s; ++zl)
-          pack_buf_[idx++] = slab_[(zl * k + y) * k + x];
+    for (std::size_t zl = 0; zl < s; ++zl) {
+      const Complex* src = slab_.data() + (zl * k + d * s) * h;
+      std::copy(src, src + s * h, pack_buf_.data() + zl * s * h);
     }
-    comm_.send(d, kTransposeFwd, pack_buf_);
+    comm_.send(static_cast<int>(d), kTransposeFwd, pack_buf_);
   }
-  // Own block, no message.
-  for (std::size_t yl = 0; yl < s; ++yl) {
-    const std::size_t y = static_cast<std::size_t>(w) * s + yl;
-    for (std::size_t x = 0; x < k; ++x)
-      for (std::size_t zl = 0; zl < s; ++zl)
-        t_[(yl * k + x) * k + static_cast<std::size_t>(w) * s + zl] =
-            slab_[(zl * k + y) * k + x];
-  }
-  for (int src = 0; src < layout_.ranks; ++src) {
+  // Own block, no message: in the slab it sits at row stride k, not s.
+  for (std::size_t zl = 0; zl < s; ++zl)
+    for (std::size_t yl = 0; yl < s; ++yl) {
+      const Complex* row = slab_.data() + (zl * k + w * s + yl) * h;
+      std::copy(row, row + h, t_.data() + (yl * k + w * s + zl) * h);
+    }
+  for (std::size_t src = 0; src < static_cast<std::size_t>(layout_.ranks);
+       ++src) {
     if (src == w) continue;
-    const auto part = comm_.recv<Complex>(src, kTransposeFwd);
-    std::size_t idx = 0;
-    for (std::size_t yl = 0; yl < s; ++yl)
-      for (std::size_t x = 0; x < k; ++x)
-        for (std::size_t zl = 0; zl < s; ++zl)
-          t_[(yl * k + x) * k + static_cast<std::size_t>(src) * s + zl] =
-              part[idx++];
+    receive_block(comm_, static_cast<int>(src), kTransposeFwd, block_buf_,
+                  s * s * h);
+    for (std::size_t zl = 0; zl < s; ++zl)
+      for (std::size_t yl = 0; yl < s; ++yl) {
+        const Complex* row = block_buf_.data() + (zl * s + yl) * h;
+        std::copy(row, row + h, t_.data() + (yl * k + src * s + zl) * h);
+      }
   }
 }
 
-double DistributedPmeRank::convolve() {
-  // Full z lines are contiguous in the transposed layout.
+void DistributedPmeRank::transform_z(FftSign sign) {
   const std::size_t k = static_cast<std::size_t>(layout_.grid);
-  const std::size_t s = static_cast<std::size_t>(layout_.planes);
-  for (std::size_t line = 0; line < s * k; ++line)
-    fft_strided(t_.data() + line * k, k, 1, false);
-
-  // A = F(Q); energy partial = sum theta |A|^2 over the owned y-slab and
-  // G-hat = theta conj(A), exactly the serial solver's convolution.
-  double energy = 0.0;
-  for (std::size_t i = 0; i < t_.size(); ++i) {
-    const double theta = theta_[i];
-    const Complex a = t_[i];
-    energy += theta * std::norm(a);
-    t_[i] = theta * std::conj(a);
-  }
-
-  // Second forward transform, z axis first (still contiguous here).
-  for (std::size_t line = 0; line < s * k; ++line)
-    fft_strided(t_.data() + line * k, k, 1, false);
-  return energy;
+  for (int yl = 0; yl < layout_.planes; ++yl)
+    fft_lines(t_.data() + static_cast<std::size_t>(yl) * k * half_, k, half_,
+              half_, sign);
 }
 
 void DistributedPmeRank::transpose_backward() {
   const std::size_t k = static_cast<std::size_t>(layout_.grid);
   const std::size_t s = static_cast<std::size_t>(layout_.planes);
-  const int w = comm_.rank();
-  for (int d = 0; d < layout_.ranks; ++d) {
+  const std::size_t h = half_;
+  const std::size_t w = static_cast<std::size_t>(comm_.rank());
+  // The z block of rank d in one y plane is s contiguous x rows.
+  for (std::size_t d = 0; d < static_cast<std::size_t>(layout_.ranks); ++d) {
     if (d == w) continue;
-    std::size_t idx = 0;
-    for (std::size_t zl = 0; zl < s; ++zl) {
-      const std::size_t z = static_cast<std::size_t>(d) * s + zl;
-      for (std::size_t yl = 0; yl < s; ++yl)
-        for (std::size_t x = 0; x < k; ++x)
-          pack_buf_[idx++] = t_[(yl * k + x) * k + z];
-    }
-    comm_.send(d, kTransposeBack, pack_buf_);
-  }
-  for (std::size_t zl = 0; zl < s; ++zl) {
-    const std::size_t z = static_cast<std::size_t>(w) * s + zl;
     for (std::size_t yl = 0; yl < s; ++yl) {
-      const std::size_t y = static_cast<std::size_t>(w) * s + yl;
-      for (std::size_t x = 0; x < k; ++x)
-        slab_[(zl * k + y) * k + x] = t_[(yl * k + x) * k + z];
+      const Complex* src = t_.data() + (yl * k + d * s) * h;
+      std::copy(src, src + s * h, pack_buf_.data() + yl * s * h);
     }
+    comm_.send(static_cast<int>(d), kTransposeBack, pack_buf_);
   }
-  for (int src = 0; src < layout_.ranks; ++src) {
+  for (std::size_t yl = 0; yl < s; ++yl)
+    for (std::size_t zl = 0; zl < s; ++zl) {
+      const Complex* row = t_.data() + (yl * k + w * s + zl) * h;
+      std::copy(row, row + h, slab_.data() + (zl * k + w * s + yl) * h);
+    }
+  for (std::size_t src = 0; src < static_cast<std::size_t>(layout_.ranks);
+       ++src) {
     if (src == w) continue;
-    const auto part = comm_.recv<Complex>(src, kTransposeBack);
-    std::size_t idx = 0;
-    for (std::size_t zl = 0; zl < s; ++zl)
-      for (std::size_t yl = 0; yl < s; ++yl) {
-        const std::size_t y = static_cast<std::size_t>(src) * s + yl;
-        for (std::size_t x = 0; x < k; ++x)
-          slab_[(zl * k + y) * k + x] = part[idx++];
+    receive_block(comm_, static_cast<int>(src), kTransposeBack, block_buf_,
+                  s * s * h);
+    for (std::size_t yl = 0; yl < s; ++yl)
+      for (std::size_t zl = 0; zl < s; ++zl) {
+        const Complex* row = block_buf_.data() + (yl * s + zl) * h;
+        std::copy(row, row + h, slab_.data() + (zl * k + src * s + yl) * h);
       }
   }
 }
@@ -252,34 +224,27 @@ void DistributedPmeRank::exchange_ghost_phi() {
   const int k = layout_.grid;
   const int w = comm_.rank();
   const std::size_t plane_size = static_cast<std::size_t>(k) * k;
-  // phi is real by symmetry (the serial solver reads .real() too); the
-  // owned window planes come straight from the slab.
-  for (int zl = 0; zl < layout_.planes; ++zl) {
-    const Complex* src = slab_.data() + zl * plane_size;
-    double* dst = phi_.data() + (ghost_ + zl) * plane_size;
-    for (std::size_t i = 0; i < plane_size; ++i) dst[i] = src[i].real();
-  }
-  // Mirror of the spread exchange, reversed: the owner of each plane in
-  // rank r's ghost window sends it to r. Same layout-determined order on
-  // both sides.
+  // The owned planes already hold phi (irfft_planes wrote them). Mirror of
+  // the spread exchange, reversed: the owner of each plane in rank r's
+  // ghost window sends it to r. Same layout-determined order on both sides.
   for (int dst = 0; dst < layout_.ranks; ++dst) {
     if (dst == w) continue;
     const int dst_first = layout_.first_plane(dst);
     for (int j = 1; j <= ghost_; ++j) {
       const int gz = ((dst_first - j) % k + k) % k;
       if (layout_.owner_of_plane(gz) != w) continue;
-      const double* src = phi_.data() +
-                          (ghost_ + gz - first_) * plane_size;
-      plane_buf_.assign(src, src + plane_size);
-      comm_.send(dst, kGhostPhi, plane_buf_);
+      comm_.send(dst, kGhostPhi,
+                 std::span<const double>(
+                     window_.data() + (ghost_ + gz - first_) * plane_size,
+                     plane_size));
     }
   }
   for (int j = 1; j <= ghost_; ++j) {
     const int gz = ((first_ - j) % k + k) % k;
-    const auto part =
-        comm_.recv<double>(layout_.owner_of_plane(gz), kGhostPhi);
-    std::copy(part.begin(), part.end(),
-              phi_.begin() + (ghost_ - j) * plane_size);
+    receive_block(comm_, layout_.owner_of_plane(gz), kGhostPhi, plane_buf_,
+                  plane_size);
+    std::copy(plane_buf_.begin(), plane_buf_.end(),
+              window_.begin() + (ghost_ - j) * plane_size);
   }
 }
 
@@ -288,42 +253,29 @@ double DistributedPmeRank::gather(const std::vector<Vec3>& positions,
                                   double energy_partial,
                                   std::vector<Vec3>& forces) {
   const int k = layout_.grid;
-  const int p = params_.order;
-  const std::size_t plane_size = static_cast<std::size_t>(k) * k;
-  const double phi_pref = units::kCoulomb / (kPi * box_);
-  const double scale = static_cast<double>(k) / box_;
+  const double force_pref =
+      units::kCoulomb / (kPi * box_) * static_cast<double>(k) / box_;
 
-  forces.assign(positions.size(), Vec3{});
+  forces.resize(positions.size());
+  const double* planes[pme::kMaxOrder];
   Vec3 net;
   for (std::size_t i = 0; i < positions.size(); ++i) {
     const pme::SplineWeights& s = spline_[i];
-    Vec3 f;
-    for (int jz = 0; jz < p; ++jz) {
-      const double* plane =
-          phi_.data() + window_offset(s.base[2], jz) * plane_size;
-      for (int jy = 0; jy < p; ++jy) {
-        const int gy = ((s.base[1] - jy) % k + k) % k;
-        for (int jx = 0; jx < p; ++jx) {
-          const int gx = ((s.base[0] - jx) % k + k) % k;
-          const double phi = phi_pref * plane[gy * k + gx];
-          f.x += s.dw[0][jx] * s.w[1][jy] * s.w[2][jz] * phi;
-          f.y += s.w[0][jx] * s.dw[1][jy] * s.w[2][jz] * phi;
-          f.z += s.w[0][jx] * s.w[1][jy] * s.dw[2][jz] * phi;
-        }
-      }
-    }
-    forces[i] = (-charges[i] * scale) * f;
+    stencil_planes(s, static_cast<const double*>(window_.data()), planes);
+    forces[i] = (-charges[i] * force_pref) *
+                pme::gather_particle(s, params_.order, k, planes);
     net += forces[i];
   }
 
   // One combined reduction: energy partial, net reciprocal force and the
   // particle count for the serial solver's mean-force momentum fix.
-  std::vector<double> red{energy_partial, net.x, net.y, net.z,
-                          static_cast<double>(positions.size())};
-  comm_.allreduce_sum(red, kPmeReduce);
-  const double energy = red[0] * units::kCoulomb / (2.0 * kPi * box_);
-  if (red[4] > 0.0) {
-    const Vec3 mean{red[1] / red[4], red[2] / red[4], red[3] / red[4]};
+  reduce_.assign({energy_partial, net.x, net.y, net.z,
+                  static_cast<double>(positions.size())});
+  comm_.allreduce_sum(reduce_, kPmeReduce);
+  const double energy = reduce_[0] * units::kCoulomb / (2.0 * kPi * box_);
+  if (reduce_[4] > 0.0) {
+    const Vec3 mean{reduce_[1] / reduce_[4], reduce_[2] / reduce_[4],
+                    reduce_[3] / reduce_[4]};
     for (auto& f : forces) f -= mean;
   }
   return energy;
@@ -334,15 +286,47 @@ double DistributedPmeRank::step(const std::vector<Vec3>& positions,
                                 std::vector<Vec3>& forces) {
   if (positions.size() != charges.size())
     throw std::invalid_argument("distributed PME: positions/charges mismatch");
+  using Clock = std::chrono::steady_clock;
+  auto mark = Clock::now();
+  const auto lap = [&mark](double& total_ms) {
+    const auto now = Clock::now();
+    total_ms += std::chrono::duration<double, std::milli>(now - mark).count();
+    mark = now;
+  };
+  const std::size_t k = static_cast<std::size_t>(layout_.grid);
+  const std::size_t s = static_cast<std::size_t>(layout_.planes);
+  double* owned = window_.data() + ghost_ * k * k;
+
+  spline_.resize(positions.size());
+  for (std::size_t i = 0; i < positions.size(); ++i)
+    pme::spline_weights(positions[i], box_, layout_.grid, params_.order,
+                        spline_[i]);
+  lap(times_.spline_ms);
   spread(positions, charges);
+  lap(times_.spread_ms);
   exchange_ghost_spread();
-  transform_xy();
+  lap(times_.ghost_ms);
+  rfft_planes(owned, slab_.data(), k, s);
+  lap(times_.fft_ms);
   transpose_forward();
-  const double energy_partial = convolve();
+  lap(times_.transpose_ms);
+  transform_z(FftSign::kForward);
+  lap(times_.fft_ms);
+  const double energy_partial =
+      pme::convolve_half(t_.data(), theta_.data(), s * k, layout_.grid);
+  lap(times_.convolve_ms);
+  transform_z(FftSign::kBackward);
+  lap(times_.fft_ms);
   transpose_backward();
-  transform_xy();
+  lap(times_.transpose_ms);
+  irfft_planes(slab_.data(), owned, k, s);
+  lap(times_.fft_ms);
   exchange_ghost_phi();
-  return gather(positions, charges, energy_partial, forces);
+  lap(times_.ghost_ms);
+  const double energy = gather(positions, charges, energy_partial, forces);
+  lap(times_.gather_ms);
+  ++times_.steps;
+  return energy;
 }
 
 }  // namespace mdm::host

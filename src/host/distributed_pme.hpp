@@ -2,20 +2,31 @@
 
 /// \file distributed_pme.hpp
 /// Distributed smooth particle-mesh Ewald over the wavenumber process group
-/// (DESIGN.md §12): the K^3 charge mesh is slab-decomposed along z across
-/// the W k-space ranks, spreading/gathering use a deterministic ghost-plane
-/// exchange, and the two forward 3D FFTs of the serial solver become
-/// per-plane 2D transforms bracketing an all-to-all transpose plus a
-/// contiguous z transform.
+/// (DESIGN.md §12): the real K^3 charge mesh is slab-decomposed along z
+/// across the W k-space ranks, spreading/gathering use a deterministic
+/// ghost-plane exchange, and the mesh transforms are real-to-complex.
 ///
-/// The spline weights and influence function come from ewald/pme_kernels, so
-/// this engine evaluates EXACTLY the same arithmetic as the serial SmoothPme
-/// and cross-validation between the two measures only the decomposition.
-/// The distributed transform applies axes in the order (x, y) | transpose |
-/// z, where the serial Grid3D::transform runs x, y, z over the whole cube;
-/// the results are mathematically identical and differ only in
-/// floating-point summation order (~1e-13 relative), so parity against the
-/// serial solver is asserted at an RMS tolerance, not bit equality.
+/// Per step and rank (s = K/W planes, H = K/2 + 1 half-spectrum width):
+///  1. forward: per plane, rfft along x (K reals -> H complex) then the
+///     y lines (util/fft rfft_planes), giving the slab [(z_l*K + y)*H + kx];
+///  2. all-to-all transpose to y-slabs [(y_l*K + z)*H + kx], then the z
+///     lines;
+///  3. convolution with theta on the half spectrum (pme::convolve_half,
+///     which also weights the energy partial for the missing mirror half);
+///  4. backward, unscaled: z lines, transpose back, y lines, then C2R
+///     along x into the real potential window (irfft_planes). The
+///     potential is the forward transform of theta conj(A); that is real,
+///     so it equals this backward transform of theta A.
+/// Slab, transposed buffer, theta and transpose messages all hold H of K
+/// x columns, about half a complex cube.
+///
+/// The spline weights, stencil loops, influence function and convolution
+/// come from ewald/pme_kernels and the transforms from util/fft, so this
+/// engine evaluates EXACTLY the same arithmetic as the serial SmoothPme up
+/// to the order of floating-point sums (the serial solver runs its z lines
+/// on the untransposed cube and sums the energy in one pass, ~1e-13
+/// relative), so parity against the serial solver is asserted at an RMS
+/// tolerance, not bit equality.
 
 #include <vector>
 
@@ -65,6 +76,19 @@ struct PmeSlabLayout {
   }
 };
 
+/// Wall time per pipeline stage of DistributedPmeRank::step, accumulated
+/// over calls (milliseconds). Exchanges include the wait for peers.
+struct PmeStageTimes {
+  double spline_ms = 0.0;     ///< per-ion spline weights and indices
+  double spread_ms = 0.0;     ///< charge spreading onto the window
+  double ghost_ms = 0.0;      ///< both ghost-plane exchanges
+  double fft_ms = 0.0;        ///< x/y and z transforms, both directions
+  double transpose_ms = 0.0;  ///< both all-to-all transposes
+  double convolve_ms = 0.0;   ///< theta multiply and energy partial
+  double gather_ms = 0.0;     ///< force interpolation and the reduction
+  int steps = 0;
+};
+
 /// Per-rank distributed PME engine, one instance per wavenumber rank.
 /// Every rank calls step() collectively once per force evaluation with the
 /// particles routed to it (PmeSlabLayout::route); ranks with no particles
@@ -87,6 +111,11 @@ class DistributedPmeRank {
 
   const PmeSlabLayout& layout() const { return layout_; }
 
+  /// Stage times accumulated by step() since construction or the last
+  /// reset_stage_times().
+  const PmeStageTimes& stage_times() const { return times_; }
+  void reset_stage_times() { times_ = {}; }
+
  private:
   /// Offset of global plane (base - jz) mod K inside the local window of
   /// ghost_ + planes planes (ghost region first, owned slab after).
@@ -95,18 +124,18 @@ class DistributedPmeRank {
     if (l < 0) l += layout_.grid;  // wraps only when the window is the mesh
     return l;
   }
+  /// Point planes[jz] at the window plane of each stencil z of `s`.
+  template <typename Plane>
+  void stencil_planes(const pme::SplineWeights& s, Plane* window,
+                      Plane** planes) const;
 
   void spread(const std::vector<Vec3>& positions,
               const std::vector<double>& charges);
   void exchange_ghost_spread();
-  /// Per-plane 2D FFT of the owned slab (x lines then y lines, mirroring
-  /// Grid3D::transform's axis order within a plane). Forward transform.
-  void transform_xy();
-  void transpose_forward();   ///< z-slabs -> y-slabs (z contiguous)
+  void transpose_forward();   ///< z-slabs -> y-slabs (z lines at stride H)
   void transpose_backward();  ///< y-slabs -> z-slabs
-  /// theta * conj() convolution in the transposed layout; returns this
-  /// rank's partial of sum theta |A|^2.
-  double convolve();
+  /// z lines of every owned y plane in the transposed layout.
+  void transform_z(FftSign sign);
   void exchange_ghost_phi();
   double gather(const std::vector<Vec3>& positions,
                 const std::vector<double>& charges, double energy_partial,
@@ -118,18 +147,21 @@ class DistributedPmeRank {
   PmeSlabLayout layout_;
   int first_ = 0;  ///< first owned plane
   int ghost_ = 0;  ///< ghost planes below the slab
+  std::size_t half_ = 0;  ///< H = K/2 + 1
 
-  std::vector<double> b2_;     ///< per-axis |b(n)|^2 (pme::axis_b2)
   std::vector<double> theta_;  ///< influence over the owned y-slab, t_ layout
 
   // Step scratch, reused between calls (no steady-state allocations).
   std::vector<pme::SplineWeights> spline_;  ///< per routed particle
-  std::vector<double> accum_;  ///< (ghost+planes) x K x K spread window
-  std::vector<Complex> slab_;  ///< planes x K x K, [(z_local*K + y)*K + x]
-  std::vector<Complex> t_;     ///< planes x K x K, [(y_local*K + x)*K + z]
-  std::vector<double> phi_;    ///< (ghost+planes) x K x K potential window
-  std::vector<double> plane_buf_;   ///< one K x K plane (exchange scratch)
-  std::vector<Complex> pack_buf_;   ///< transpose packing scratch
+  std::vector<double> window_;  ///< (ghost+planes) x K x K real window:
+                                ///< charge, then potential
+  std::vector<Complex> slab_;  ///< planes x K x H, [(z_l*K + y)*H + kx]
+  std::vector<Complex> t_;     ///< planes x K x H, [(y_l*K + z)*H + kx]
+  std::vector<Complex> pack_buf_;   ///< transpose send block
+  std::vector<Complex> block_buf_;  ///< transpose receive block
+  std::vector<double> plane_buf_;   ///< ghost-plane receive
+  std::vector<double> reduce_;      ///< energy / net force / count
+  PmeStageTimes times_;
 };
 
 }  // namespace mdm::host

@@ -33,6 +33,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -80,25 +81,40 @@ class Communicator {
   /// a collective tag) do not collide.
   Communicator subgroup(const std::vector<int>& world_ranks) const;
 
-  /// Blocking typed send/recv of trivially copyable element arrays.
+  /// Blocking typed send/recv of trivially copyable element arrays. The
+  /// span form sends straight from the caller's memory (e.g. one plane of
+  /// a larger mesh) without staging it in a vector.
+  /// (Extent is deduced, so braced payloads such as send<int>(d, t, {})
+  /// still pick the vector form.)
+  template <typename T, std::size_t Extent>
+  void send(int dest, int tag, std::span<T, Extent> data) {
+    static_assert(std::is_trivially_copyable_v<std::remove_const_t<T>>);
+    send_bytes(dest, tag, reinterpret_cast<const std::byte*>(data.data()),
+               data.size_bytes());
+  }
   template <typename T>
   void send(int dest, int tag, const std::vector<T>& data) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    send_bytes(dest, tag,
-               reinterpret_cast<const std::byte*>(data.data()),
-               data.size() * sizeof(T));
+    send(dest, tag, std::span(data));
   }
   template <typename T>
   std::vector<T> recv(int source, int tag) {
+    std::vector<T> out;
+    recv_into(source, tag, out);
+    return out;
+  }
+  /// recv into a caller-owned vector, resized to the payload; its capacity
+  /// is reused, so a steady-state receive of a fixed-size message does not
+  /// allocate on the receiving side.
+  template <typename T>
+  void recv_into(int source, int tag, std::vector<T>& out) {
     static_assert(std::is_trivially_copyable_v<T>);
     const auto bytes = recv_bytes(source, tag);
     if (bytes.size() % sizeof(T) != 0)
       throw std::runtime_error("vmpi: message size not a multiple of T");
-    std::vector<T> out(bytes.size() / sizeof(T));
+    out.resize(bytes.size() / sizeof(T));
     // Empty payloads (empty halo/migrate/k-space batches) are routine, and
     // memcpy from/to a null pointer is UB even for zero bytes.
     if (!bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
-    return out;
   }
 
   /// Scalar convenience forms.

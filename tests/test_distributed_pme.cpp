@@ -330,6 +330,30 @@ TEST(MdmParallelAppPme, MatchesStructureFactorAppAcrossDecompositions) {
   }
 }
 
+TEST(MdmParallelAppPme, RerunsAreBitIdentical) {
+  // The mesh engine has no thread-timing dependence: every sum runs in a
+  // layout-determined order, so rerunning a decomposition reproduces it.
+  const auto sys = hot_state(2, 11);
+  for (const int real : {2, 4}) {
+    const auto cfg = pme_app_config(sys, real, 2, 2, 2);
+    MdmParallelApp first_app(cfg);
+    const auto first = first_app.run(sys);
+    MdmParallelApp second_app(cfg);
+    const auto second = second_app.run(sys);
+    ASSERT_EQ(first.positions.size(), second.positions.size());
+    for (std::size_t i = 0; i < first.positions.size(); ++i) {
+      EXPECT_EQ(first.positions[i].x, second.positions[i].x) << i;
+      EXPECT_EQ(first.positions[i].y, second.positions[i].y) << i;
+      EXPECT_EQ(first.positions[i].z, second.positions[i].z) << i;
+      EXPECT_EQ(first.velocities[i].x, second.velocities[i].x) << i;
+    }
+    ASSERT_EQ(first.samples.size(), second.samples.size());
+    for (std::size_t k = 0; k < first.samples.size(); ++k)
+      EXPECT_EQ(first.samples[k].potential_eV, second.samples[k].potential_eV)
+          << "R=" << real << " k=" << k;
+  }
+}
+
 class DistributedPmeRecovery : public ::testing::Test {
  protected:
   void SetUp() override {

@@ -2,12 +2,14 @@
 
 #include <cmath>
 #include <numbers>
+#include <thread>
 
 #include "core/lattice.hpp"
 #include "ewald/ewald.hpp"
 #include "ewald/parameters.hpp"
 #include "ewald/direct_sum.hpp"
 #include "ewald/pme.hpp"
+#include "ewald/pme_kernels.hpp"
 #include "util/fft.hpp"
 #include "util/random.hpp"
 #include "util/units.hpp"
@@ -78,6 +80,166 @@ TEST(Fft, ParsevalOnGrid3D) {
   double spec2 = 0.0;
   for (const auto& v : grid.data()) spec2 += std::norm(v);
   EXPECT_NEAR(spec2, sum2 * double(grid.size()), 1e-8 * spec2);
+}
+
+/// Naive O(n^2) forward DFT of a real line.
+std::vector<Complex> naive_real_dft(const std::vector<double>& x) {
+  const std::size_t n = x.size();
+  std::vector<Complex> out(n);
+  for (std::size_t m = 0; m < n; ++m)
+    for (std::size_t j = 0; j < n; ++j) {
+      const double angle =
+          -2.0 * std::numbers::pi * double((m * j) % n) / double(n);
+      out[m] += x[j] * Complex{std::cos(angle), std::sin(angle)};
+    }
+  return out;
+}
+
+TEST(Fft, RealForwardMatchesNaiveDft) {
+  Random rng(11);
+  for (std::size_t n : {2u, 4u, 8u, 16u, 32u, 64u}) {
+    std::vector<double> x(n);
+    for (auto& v : x) v = rng.uniform(-1, 1);
+    const auto expected = naive_real_dft(x);
+    double scale = 0.0;
+    for (const auto& v : expected) scale = std::max(scale, std::abs(v));
+    std::vector<Complex> half(half_length(n));
+    rfft(x.data(), half.data(), n);
+    for (std::size_t m = 0; m < half.size(); ++m)
+      EXPECT_LT(std::abs(half[m] - expected[m]), 1e-12 * scale)
+          << "n=" << n << " m=" << m;
+  }
+}
+
+TEST(Fft, RealRoundTrip) {
+  Random rng(12);
+  for (std::size_t n : {2u, 4u, 8u, 16u, 32u, 64u}) {
+    std::vector<double> x(n);
+    for (auto& v : x) v = rng.uniform(-1, 1);
+    std::vector<Complex> half(half_length(n));
+    std::vector<double> back(n);
+    rfft(x.data(), half.data(), n);
+    irfft(half.data(), back.data(), n);
+    for (std::size_t j = 0; j < n; ++j)
+      EXPECT_NEAR(back[j] / double(n), x[j], 1e-12) << "n=" << n;
+  }
+  std::vector<double> x(6);
+  std::vector<Complex> half(4);
+  EXPECT_THROW(rfft(x.data(), half.data(), 6), std::invalid_argument);
+  EXPECT_THROW(rfft(x.data(), half.data(), 1), std::invalid_argument);
+}
+
+TEST(Fft, BatchedLinesMatchSingleLinesBitForBit) {
+  Random rng(13);
+  const std::size_t n = 32, count = 17, stride = 20;
+  std::vector<Complex> batch(n * stride);
+  for (auto& v : batch) v = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+  auto single = batch;
+  fft_lines(batch.data(), n, stride, count, FftSign::kForward);
+  for (std::size_t c = 0; c < count; ++c)
+    fft_strided(single.data() + c, n, stride, false);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t c = 0; c < stride; ++c)
+      EXPECT_EQ(batch[i * stride + c], single[i * stride + c]) << i << " " << c;
+}
+
+TEST(Fft, Real3dMatchesGrid3DOnTheHalfSpectrum) {
+  Random rng(14);
+  for (std::size_t k : {2u, 8u, 16u}) {
+    const std::size_t h = half_length(k);
+    std::vector<double> mesh(k * k * k);
+    Grid3D grid(k);
+    for (std::size_t i = 0; i < mesh.size(); ++i) {
+      mesh[i] = rng.uniform(-1, 1);
+      grid.data()[i] = mesh[i];
+    }
+    std::vector<Complex> half(k * k * h);
+    rfft3d(mesh.data(), half.data(), k);
+    grid.transform(false);
+    double scale = 0.0;
+    for (const auto& v : grid.data()) scale = std::max(scale, std::abs(v));
+    for (std::size_t z = 0; z < k; ++z)
+      for (std::size_t y = 0; y < k; ++y)
+        for (std::size_t x = 0; x < h; ++x)
+          EXPECT_LT(std::abs(half[(z * k + y) * h + x] - grid.at(x, y, z)),
+                    1e-12 * scale)
+              << "k=" << k << " " << x << " " << y << " " << z;
+    // Unscaled backward C2R returns K^3 times the mesh.
+    std::vector<double> back(mesh.size());
+    irfft3d(half.data(), back.data(), k);
+    const double n3 = double(mesh.size());
+    for (std::size_t i = 0; i < mesh.size(); ++i)
+      EXPECT_NEAR(back[i] / n3, mesh[i], 1e-12) << "k=" << k;
+  }
+}
+
+TEST(Fft, HalfSpectrumEnergyWeightingMatchesFullCube) {
+  Random rng(15);
+  const int k = 16;
+  const std::size_t ku = k, h = half_length(ku);
+  const auto b2 = pme::axis_b2(k, 6);
+  std::vector<double> mesh(ku * ku * ku);
+  Grid3D grid(ku);
+  for (std::size_t i = 0; i < mesh.size(); ++i) {
+    mesh[i] = rng.uniform(-1, 1);
+    grid.data()[i] = mesh[i];
+  }
+  grid.transform(false);
+  double full = 0.0;
+  for (int z = 0; z < k; ++z)
+    for (int y = 0; y < k; ++y)
+      for (int x = 0; x < k; ++x)
+        full += pme::influence_theta(x, y, z, k, 5.0, b2) *
+                std::norm(grid.at(x, y, z));
+  std::vector<Complex> half(ku * ku * h);
+  std::vector<double> theta(half.size());
+  for (int z = 0; z < k; ++z)
+    for (int y = 0; y < k; ++y)
+      for (std::size_t x = 0; x < h; ++x)
+        theta[(z * ku + y) * h + x] =
+            pme::influence_theta(int(x), y, z, k, 5.0, b2);
+  rfft3d(mesh.data(), half.data(), ku);
+  const double weighted =
+      pme::convolve_half(half.data(), theta.data(), ku * ku, k);
+  EXPECT_NEAR(weighted, full, 1e-12 * full);
+}
+
+TEST(Fft, PlansBuiltConcurrentlyAgree) {
+  // A length no other test uses, so the threads race to build its plan.
+  const std::size_t n = 1u << 13;
+  std::vector<Complex> input(n);
+  Random rng(16);
+  for (auto& v : input) v = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+  std::vector<std::vector<Complex>> out(4, input);
+  std::vector<std::thread> threads;
+  for (auto& o : out) threads.emplace_back([&o] { fft(o, false); });
+  for (auto& t : threads) t.join();
+  for (std::size_t r = 1; r < out.size(); ++r) EXPECT_EQ(out[r], out[0]);
+}
+
+TEST(Bspline, RecurrenceMatchesRecursiveForm) {
+  const double box = 10.0;
+  const int grid = 32;
+  for (int p = 3; p <= pme::kMaxOrder; ++p)
+    for (double t : {0.0, 1e-12, 0.5, 1.0 - 1e-12}) {
+      // Place x so that u = x / L * K = 7 + t.
+      const double x = (7.0 + t) * box / grid;
+      pme::SplineWeights s;
+      pme::spline_weights({x, x, x}, box, grid, p, s);
+      const double tt = x / box * grid - 7.0;
+      for (int d = 0; d < 3; ++d) {
+        EXPECT_EQ(s.base[d], 7);
+        for (int j = 0; j < p; ++j) {
+          EXPECT_NEAR(s.w[d][j], bspline(p, tt + j), 1e-14)
+              << "p=" << p << " t=" << t << " j=" << j;
+          EXPECT_NEAR(s.dw[d][j],
+                      bspline(p - 1, tt + j) - bspline(p - 1, tt + j - 1),
+                      1e-14)
+              << "p=" << p << " t=" << t << " j=" << j;
+          EXPECT_EQ(s.index[d][j], ((7 - j) % grid + grid) % grid);
+        }
+      }
+    }
 }
 
 TEST(Bspline, PartitionOfUnityAndSupport) {
@@ -203,6 +365,26 @@ TEST(SmoothPme, FinerGridConvergesToExact) {
     prev = rel;
   }
   EXPECT_LT(prev, 1e-3);  // 64^3 with order 4 is sub-0.1%
+}
+
+TEST(SmoothPme, BitIdenticalAcrossPoolSizes) {
+  const auto sys = melt(2, 81);
+  const auto params = software_parameters(double(sys.size()), sys.box());
+  SmoothPme serial({params.alpha, params.r_cut, 32, 6}, sys.box());
+  std::vector<Vec3> ref(sys.size());
+  const double ref_energy = evaluate_forces(serial, sys, ref).potential;
+  for (unsigned threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    SmoothPme pooled({params.alpha, params.r_cut, 32, 6}, sys.box());
+    pooled.set_thread_pool(&pool);
+    std::vector<Vec3> got(sys.size());
+    EXPECT_EQ(evaluate_forces(pooled, sys, got).potential, ref_energy);
+    for (std::size_t i = 0; i < sys.size(); ++i) {
+      EXPECT_EQ(got[i].x, ref[i].x) << threads << " " << i;
+      EXPECT_EQ(got[i].y, ref[i].y) << threads << " " << i;
+      EXPECT_EQ(got[i].z, ref[i].z) << threads << " " << i;
+    }
+  }
 }
 
 TEST(SmoothPme, TotalForceIsZero) {

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <span>
 
 namespace mdm::vmpi {
 namespace {
@@ -70,6 +71,37 @@ TEST(Vmpi, EmptyMessage) {
       comm.send<int>(1, 5, {});
     } else {
       EXPECT_TRUE(comm.recv<int>(0, 5).empty());
+    }
+  });
+}
+
+TEST(Vmpi, RecvIntoReusesTheCallersBuffer) {
+  World world(2);
+  world.run([](Communicator& comm) {
+    if (comm.rank() == 0) {
+      comm.send<double>(1, 20, {1.0, 2.0, 3.0, 4.0});
+      comm.send<double>(1, 20, {5.0, 6.0});
+      comm.send<int>(1, 21, {});
+      comm.send<char>(1, 22, {'a', 'b', 'c'});
+      const double window[5] = {0.0, 7.0, 8.0, 9.0, 0.0};
+      comm.send(1, 23, std::span<const double>(window + 1, 3));
+    } else {
+      std::vector<double> buf;
+      buf.reserve(8);
+      const double* storage = buf.data();
+      comm.recv_into(0, 20, buf);
+      EXPECT_EQ(buf, (std::vector<double>{1.0, 2.0, 3.0, 4.0}));
+      comm.recv_into(0, 20, buf);
+      EXPECT_EQ(buf, (std::vector<double>{5.0, 6.0}));
+      EXPECT_EQ(buf.data(), storage);  // no reallocation
+      std::vector<int> empty{7, 8};
+      comm.recv_into(0, 21, empty);
+      EXPECT_TRUE(empty.empty());
+      std::vector<int> ragged;
+      EXPECT_THROW(comm.recv_into(0, 22, ragged), std::runtime_error);
+      comm.recv_into(0, 23, buf);
+      EXPECT_EQ(buf, (std::vector<double>{7.0, 8.0, 9.0}));
+      EXPECT_EQ(buf.data(), storage);
     }
   });
 }
