@@ -351,6 +351,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf("%s\n", table.str().c_str());
+  std::printf("native pair evaluation: %s variant\n",
+              native::pair_eval_variants().back().isa);
   report.write();
 
   if (real_speedup < 3.0) {

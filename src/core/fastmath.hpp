@@ -51,15 +51,27 @@ inline double fast_exp(double x) {
   constexpr double kQ2 = 2.27265548208155028766e-1;
   constexpr double kQ3 = 2.00000000000000000005e0;
 
+  // 1.5 * 2^52: adding and subtracting it rounds |v| < 2^51 to an integer.
+  constexpr double kRoundShift = 6755399441055744.0;
+  // 2^52 + 1023: adding it to an integral n in [-1022, 1023] leaves the
+  // biased exponent n + 1023 in the low mantissa bits.
+  constexpr double kExpBiasShift = 4503599627371519.0;
+
   const double x_in = x;
   // Clamp into the range where 2^n stays a normal double; out-of-range
-  // inputs are fixed up by the final selects.
-  x = x < -708.0 ? -708.0 : (x > 709.0 ? 709.0 : x);
+  // inputs are fixed up by the final selects. Two sequential selects, not
+  // nested ones, so a loop calling this if-converts on every ISA.
+  x = x > 709.0 ? 709.0 : x;
+  x = x < -708.0 ? -708.0 : x;
 
+  // n = trunc(nf) - (nf < 0), floor except at negative integers, without
+  // libm and without an int64 conversion (which has no SSE2/AVX2 vector
+  // form): round to nearest, then step down where that rounded up.
   double nf = kLog2E * x + 0.5;
-  nf = static_cast<double>(static_cast<std::int64_t>(nf) -
-                           (nf < 0.0 ? 1 : 0));  // floor without libm
-  const auto n = static_cast<std::int64_t>(nf);
+  const double rn = (nf + kRoundShift) - kRoundShift;
+  const double pos = rn > nf ? rn - 1.0 : rn;  // floor(nf)
+  const double neg = rn < nf ? rn : rn - 1.0;  // ceil(nf) - 1
+  nf = nf < 0.0 ? neg : pos;
   x -= nf * kC1;
   x -= nf * kC2;
 
@@ -69,7 +81,8 @@ inline double fast_exp(double x) {
   double r = 1.0 + 2.0 * p / (q - p);
 
   // Scale by 2^n through the exponent field (|n| <= 1023 after clamping).
-  r *= std::bit_cast<double>(static_cast<std::uint64_t>(n + 1023) << 52);
+  r *= std::bit_cast<double>(std::bit_cast<std::uint64_t>(nf + kExpBiasShift)
+                             << 52);
   r = x_in < -708.0 ? 0.0 : r;
   return x_in > 709.0 ? std::bit_cast<double>(0x7ff0000000000000ULL) : r;
 }
@@ -132,7 +145,10 @@ inline double erfc_from_exp(double x, double expmx2) {
   const double erfc_hi =
       expmx2 * (0.564189583547756 - c * p_hi / q_hi) / (x > 1.0 ? x : 1.0);
 
-  double r = x <= 0.5 ? erfc_lo : (x < 4.0 ? erfc_mid : erfc_hi);
+  // Two sequential selects, not nested ones, so a loop calling this
+  // if-converts on every ISA.
+  double r = x < 4.0 ? erfc_mid : erfc_hi;
+  r = x <= 0.5 ? erfc_lo : r;
   r = x >= kErfcUnderflowCut ? 0.0 : r;
   // Flush a would-be-subnormal result to exactly 0 as well: a degraded
   // (subnormal or zero) expmx2 from the caller scales the mid/high rationals

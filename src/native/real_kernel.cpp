@@ -18,49 +18,134 @@ const double kTwoOverSqrtPi = 2.0 / std::sqrt(std::numbers::pi);
 /// Pair-list rebuild trigger: half the skin, less a margin that absorbs the
 /// rounding of the distance arithmetic (~1e-14 A at these lengths).
 constexpr double kMaxDrift = 0.5 * NativeRealKernel::kListSkin - 1e-9;
-/// Most slots evaluated per pair_range call (the store-buffer stride), and
-/// the longest candidate piece the cell-mode filter measures at once, so
-/// the buffers scale with neither N nor cell occupancy.
-constexpr std::size_t kListBlock = 256;
-/// Relative padding of the filter's cutoff: the filter and pair_range may
-/// round r^2 differently (FMA contraction under -march=native), so the
-/// filter keeps a margin and pair_range's mask stays the authority; a pair
-/// kept by the margin alone adds exact zeros.
-constexpr double kFilterPad = 1e-12;
 
 /// Minimum image of a coordinate difference by compare-blend: coordinates
 /// are wrapped into [0, box), so at most one correction applies. Both
 /// masks read the input d, which lets GCC vectorize a loop around this
-/// (the distance passes of the list build and the filter; the pair loop
-/// stays scalar, see the header); for |d| < box it equals correcting d in
-/// place, bit for bit.
+/// (the distance passes of the list build and the filter); for |d| < box
+/// it equals correcting d in place, bit for bit.
 inline double min_image(double d, double box, double half) {
   const double lo = d < -half ? box : 0.0;
   const double hi = d > half ? box : 0.0;
   return d + lo - hi;
 }
 
-/// Run fn(k) for every chunk k: on the pool when it has workers, inline
-/// otherwise. Chunks write disjoint state, so the result is the same.
+/// v where `mask` is all-ones, +0.0 where it is +0.0. A bit-AND rather than
+/// a ?: blend, which GCC's baseline SSE2 variant would not if-convert.
+inline double keep(double v, double mask) {
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(v) &
+                               std::bit_cast<std::uint64_t>(mask));
+}
+
+/// The evaluate stage: lanes [0, len) of b, in place. Straight-line per
+/// lane, so it vectorizes; inlined into one function per ISA below.
+[[gnu::always_inline]] inline void evaluate_lanes(PairBlock& b,
+                                                  std::size_t len,
+                                                  const PairConsts& c) {
+  using L = PairBlock;
+  const double all_ones = std::bit_cast<double>(~std::uint64_t{0});
+  for (std::size_t k = 0; k < len; ++k) {  // evaluate loop
+    const double dx = b.lane[L::kDx][k];
+    const double dy = b.lane[L::kDy][k];
+    const double dz = b.lane[L::kDz][k];
+    const double qj = b.lane[L::kQ][k];
+    const double born = b.lane[L::kBorn][k];
+    const double c6 = b.lane[L::kC6][k];
+    const double d8 = b.lane[L::kD8][k];
+    const double shift = b.lane[L::kShift][k];
+    const double r2 = dx * dx + dy * dy + dz * dz;
+    const bool in = r2 < c.cutoff2;
+    const double mask = in ? all_ones : 0.0;
+    // Masked-out lanes evaluate at r = 1 so every intermediate stays
+    // finite; their results blend to zero below.
+    const double r2g = in ? r2 : 1.0;
+    const double r = std::sqrt(r2g);
+    const double inv_r = 1.0 / r;
+    const double inv_r2 = inv_r * inv_r;
+    // Ewald real space, eq. 2.
+    const double bx = c.beta * r;
+    const double eg = fastmath::fast_exp(-bx * bx);
+    const double erfc = fastmath::erfc_from_exp(bx, eg);
+    const double qq = c.qi_ke * qj;
+    const double pot_c = qq * erfc * inv_r;
+    double s = (pot_c + qq * kTwoOverSqrtPi * bx * eg * inv_r) * inv_r2;
+    // Tosi-Fumi short range, eq. 15 (the coefficients are zero when the
+    // kernel is Coulomb-only, so these lines contribute exactly 0).
+    const double be = born * fastmath::fast_exp(-r * c.inv_rho);
+    const double inv_r6 = inv_r2 * inv_r2 * inv_r2;
+    const double inv_r8 = inv_r6 * inv_r2;
+    s += be * c.inv_rho * inv_r - 6.0 * c6 * inv_r8 -
+         8.0 * d8 * inv_r8 * inv_r2;
+    const double pot = pot_c + be - c6 * inv_r6 - d8 * inv_r8 - shift;
+    s = keep(s, mask);
+    b.lane[L::kFx][k] = s * dx;
+    b.lane[L::kFy][k] = s * dy;
+    b.lane[L::kFz][k] = s * dz;
+    b.lane[L::kPot][k] = keep(pot, mask);
+    b.lane[L::kVir][k] = s * r2;
+    b.lane[L::kCount][k] = keep(1.0, mask);
+  }
+}
+
+void evaluate_baseline(PairBlock& b, std::size_t len, const PairConsts& c) {
+  evaluate_lanes(b, len, c);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+[[gnu::target("avx2")]] void evaluate_avx2(PairBlock& b, std::size_t len,
+                                           const PairConsts& c) {
+  evaluate_lanes(b, len, c);
+}
+
+[[gnu::target("avx512f")]] void evaluate_avx512f(PairBlock& b,
+                                                 std::size_t len,
+                                                 const PairConsts& c) {
+  evaluate_lanes(b, len, c);
+}
+#endif
+
+/// Threads for_each_chunk may run chunks on at once.
+std::size_t chunk_workers(const ThreadPool* pool) {
+  return pool && pool->size() > 1 ? pool->size() : 1;
+}
+
+/// Run fn(k, w) for every chunk k, w being the running thread's index below
+/// chunk_workers(pool): on the pool when it has workers, inline otherwise.
+/// Chunks write disjoint state, so the result is the same.
 template <typename Fn>
 void for_each_chunk(ThreadPool* pool, int chunks, Fn&& fn) {
   const auto count = static_cast<std::size_t>(chunks);
-  if (pool && pool->size() > 1) {
+  if (chunk_workers(pool) > 1) {
     pool_for(
         *pool, count,
-        [&](unsigned, std::size_t begin, std::size_t end) {
-          for (std::size_t k = begin; k < end; ++k) fn(k);
+        [&](unsigned w, std::size_t begin, std::size_t end) {
+          for (std::size_t k = begin; k < end; ++k) fn(k, w);
         },
         /*min_parallel=*/0);
   } else {
-    for (std::size_t k = 0; k < count; ++k) fn(k);
+    for (std::size_t k = 0; k < count; ++k) fn(k, 0);
   }
 }
 
 }  // namespace
 
+std::span<const PairEvalVariant> pair_eval_variants() {
+  static const std::vector<PairEvalVariant> variants = [] {
+    std::vector<PairEvalVariant> v{{"baseline", evaluate_baseline}};
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2")) v.push_back({"avx2", evaluate_avx2});
+    if (__builtin_cpu_supports("avx512f"))
+      v.push_back({"avx512f", evaluate_avx512f});
+#endif
+    return v;
+  }();
+  return variants;
+}
+
 NativeRealKernel::NativeRealKernel(const Config& config)
     : cfg_(config),
+      evaluate_(pair_eval_variants().back().evaluate),
       cells_(config.box, config.r_cut),
       n2_(cells_.use_n2_fallback(config.r_cut)) {
   if (!(cfg_.box > 0.0) || !(cfg_.beta > 0.0) || !(cfg_.r_cut > 0.0))
@@ -79,123 +164,80 @@ NativeRealKernel::NativeRealKernel(const Config& config)
   }
 }
 
-/// The inner loop: one i particle against slots[0..len). Two passes — a
-/// straight-line compute pass, then a scalar sum of the 6-lane store buffer
-/// (strict-FP reductions do not vectorize; this keeps the summation order
-/// explicit and deterministic). Splitting one i's partners over several
-/// calls leaves every sum's order, and so every bit, unchanged.
+/// Gather, evaluate, scatter: slot a against slots[0..len), whose dx/dy/dz
+/// lanes the caller has filled. The scatter applies the Newton j-forces
+/// and sums the per-i lanes in gather order (strict-FP reductions do not
+/// vectorize; this keeps the summation order explicit and deterministic).
+/// Splitting one i's partners over several calls leaves every sum's order,
+/// and so every bit, unchanged.
 template <bool kNewton>
 void NativeRealKernel::pair_range(std::size_t a, const std::uint32_t* slots,
                                   std::size_t len, double* jfx, double* jfy,
-                                  double* jfz, double* tmp, Acc& acc) const {
-  const double xi = xs_[a];
-  const double yi = ys_[a];
-  const double zi = zs_[a];
-  const double qi_ke = units::kCoulomb * qs_[a];
+                                  double* jfz, PairBlock& block,
+                                  Acc& acc) const {
+  using L = PairBlock;
   // Coefficient rows of i's species.
   const std::size_t base = static_cast<std::size_t>(ts_[a]) * xs_.size();
   const double* cb = cb_.data() + base;
   const double* c6r = cc6_.data() + base;
   const double* d8r = cd8_.data() + base;
   const double* shr = csh_.data() + base;
-  const double box = cfg_.box;
-  const double half = 0.5 * box;
-  const double cutoff2 = cutoff2_;
-  const double beta = cfg_.beta;
-  const double inv_rho = inv_rho_;
-  double* t_fx = tmp;
-  double* t_fy = tmp + kListBlock;
-  double* t_fz = tmp + 2 * kListBlock;
-  double* t_pot = tmp + 3 * kListBlock;
-  double* t_vir = tmp + 4 * kListBlock;
-  double* t_cnt = tmp + 5 * kListBlock;
-
   for (std::size_t k = 0; k < len; ++k) {
     const std::size_t j = slots[k];
-    const double dx = min_image(xi - xs_[j], box, half);
-    const double dy = min_image(yi - ys_[j], box, half);
-    const double dz = min_image(zi - zs_[j], box, half);
-    const double r2 = dx * dx + dy * dy + dz * dz;
-    const bool in = r2 < cutoff2;
-    // Masked-out lanes evaluate at r = 1 so every intermediate stays
-    // finite; their results blend to zero below.
-    const double r2g = in ? r2 : 1.0;
-    const double r = std::sqrt(r2g);
-    const double inv_r = 1.0 / r;
-    const double inv_r2 = inv_r * inv_r;
-    // Ewald real space, eq. 2.
-    const double bx = beta * r;
-    const double eg = fastmath::fast_exp(-bx * bx);
-    const double erfc = fastmath::erfc_from_exp(bx, eg);
-    const double qq = qi_ke * qs_[j];
-    const double pot_c = qq * erfc * inv_r;
-    double s = (pot_c + qq * kTwoOverSqrtPi * bx * eg * inv_r) * inv_r2;
-    // Tosi-Fumi short range, eq. 15 (coefficient rows are all-zero when the
-    // kernel is Coulomb-only, so these lines contribute exactly 0).
-    const double be = cb[j] * fastmath::fast_exp(-r * inv_rho);
-    const double inv_r6 = inv_r2 * inv_r2 * inv_r2;
-    const double inv_r8 = inv_r6 * inv_r2;
-    s += be * inv_rho * inv_r - 6.0 * c6r[j] * inv_r8 -
-         8.0 * d8r[j] * inv_r8 * inv_r2;
-    double pot = pot_c + be - c6r[j] * inv_r6 - d8r[j] * inv_r8 - shr[j];
-    s = in ? s : 0.0;
-    pot = in ? pot : 0.0;
-    const double fx = s * dx;
-    const double fy = s * dy;
-    const double fz = s * dz;
-    if constexpr (kNewton) {
-      jfx[j] -= fx;
-      jfy[j] -= fy;
-      jfz[j] -= fz;
-    }
-    t_fx[k] = fx;
-    t_fy[k] = fy;
-    t_fz[k] = fz;
-    t_pot[k] = pot;
-    t_vir[k] = s * r2;
-    t_cnt[k] = in ? 1.0 : 0.0;
+    block.lane[L::kQ][k] = qs_[j];
+    block.lane[L::kBorn][k] = cb[j];
+    block.lane[L::kC6][k] = c6r[j];
+    block.lane[L::kD8][k] = d8r[j];
+    block.lane[L::kShift][k] = shr[j];
   }
+  evaluate_(block, len,
+            {units::kCoulomb * qs_[a], cfg_.beta, inv_rho_, cutoff2_});
   for (std::size_t k = 0; k < len; ++k) {
-    acc.fx += t_fx[k];
-    acc.fy += t_fy[k];
-    acc.fz += t_fz[k];
-    acc.pot += t_pot[k];
-    acc.vir += t_vir[k];
-    acc.pairs += t_cnt[k];
+    if constexpr (kNewton) {
+      const std::size_t j = slots[k];
+      jfx[j] -= block.lane[L::kFx][k];
+      jfy[j] -= block.lane[L::kFy][k];
+      jfz[j] -= block.lane[L::kFz][k];
+    }
+    acc.fx += block.lane[L::kFx][k];
+    acc.fy += block.lane[L::kFy][k];
+    acc.fz += block.lane[L::kFz][k];
+    acc.pot += block.lane[L::kPot][k];
+    acc.vir += block.lane[L::kVir][k];
+    acc.pairs += block.lane[L::kCount][k];
   }
 }
 
 /// Filter, then evaluate: slot a against the candidate ranges [jb, je)
 /// that ranges(take) passes to take(jb, je), in visit order. Each range is
 /// measured in pieces of at most kListBlock slots: a distance-only pass
-/// (the loop shape of maintain_list's, which vectorizes) writes r^2 into
-/// store lane 0, then a branch-free compaction appends the slots inside
-/// the padded cutoff, except a itself, to `slots`. pair_range runs whenever
-/// the next piece could overflow the block, and once at the end, so a
-/// meets its kept partners in the order of the ranges. Returns the number
-/// of slots evaluated.
+/// (the loop shape of maintain_list's, which vectorizes) writes dx/dy/dz
+/// and r^2 into the block right after the kept pairs so far (r^2 in the
+/// q lane, which the gather fills later), then a branch-free compaction
+/// moves the slots inside the cutoff, except a itself, down behind them.
+/// pair_range runs whenever the next piece could overflow the block, and
+/// once at the end, so a meets its kept partners in the order of the
+/// ranges. Returns the number of slots evaluated.
 template <bool kNewton, typename Ranges>
 std::size_t NativeRealKernel::filter_eval(std::size_t a, Ranges&& ranges,
                                           double* jfx, double* jfy,
-                                          double* jfz, double* tmp,
+                                          double* jfz, PairBlock& block,
                                           std::uint32_t* slots,
                                           Acc& acc) const {
+  using L = PairBlock;
   const double box = cfg_.box;
   const double half = 0.5 * box;
-  const double limit2 = cutoff2_ * (1.0 + kFilterPad);
+  const double cutoff2 = cutoff2_;
   const double* xs = xs_.data();
   const double* ys = ys_.data();
   const double* zs = zs_.data();
   const double xi = xs[a];
   const double yi = ys[a];
   const double zi = zs[a];
-  // Lane 0 is free again once a piece is compacted: pair_range only runs
-  // between pieces.
-  double* r2 = tmp;
   std::size_t len = 0;
   std::size_t evaluated = 0;
   const auto eval = [&] {
-    pair_range<kNewton>(a, slots, len, jfx, jfy, jfz, tmp, acc);
+    pair_range<kNewton>(a, slots, len, jfx, jfy, jfz, block, acc);
     evaluated += len;
     len = 0;
   };
@@ -207,11 +249,19 @@ std::size_t NativeRealKernel::filter_eval(std::size_t a, Ranges&& ranges,
         const double dx = min_image(xi - xs[jb + m], box, half);
         const double dy = min_image(yi - ys[jb + m], box, half);
         const double dz = min_image(zi - zs[jb + m], box, half);
-        r2[m] = dx * dx + dy * dy + dz * dz;
+        block.lane[L::kDx][len + m] = dx;
+        block.lane[L::kDy][len + m] = dy;
+        block.lane[L::kDz][len + m] = dz;
+        block.lane[L::kQ][len + m] = dx * dx + dy * dy + dz * dz;
       }
-      for (std::size_t m = 0; m < piece; ++m) {
+      // The write index never passes the read index, so no unread entry
+      // is overwritten.
+      for (std::size_t m = 0, src = len; m < piece; ++m, ++src) {
         slots[len] = static_cast<std::uint32_t>(jb + m);
-        len += (r2[m] < limit2) & (jb + m != a);
+        block.lane[L::kDx][len] = block.lane[L::kDx][src];
+        block.lane[L::kDy][len] = block.lane[L::kDy][src];
+        block.lane[L::kDz][len] = block.lane[L::kDz][src];
+        len += (block.lane[L::kQ][src] < cutoff2) & (jb + m != a);
       }
     }
   });
@@ -280,7 +330,9 @@ void NativeRealKernel::prepare(const SoaParticles& soa) {
   }
 }
 
-void NativeRealKernel::ensure_scratch(std::size_t n, int chunks) {
+void NativeRealKernel::ensure_scratch(std::size_t n, int chunks,
+                                      std::size_t workers) {
+  if (scratch_.size() < workers) scratch_.resize(workers);
   if (n == scr_slots_ && chunks == scr_chunks_) return;
   scr_slots_ = n;
   scr_chunks_ = chunks;
@@ -290,8 +342,6 @@ void NativeRealKernel::ensure_scratch(std::size_t n, int chunks) {
   jfz_.assign(cn, 0.0);
   dirty_.assign(static_cast<std::size_t>(chunks), {0, 0});
   tally_.assign(static_cast<std::size_t>(chunks), {});
-  tmp_.resize(static_cast<std::size_t>(chunks) * 6 * kListBlock);
-  block_slots_.resize(static_cast<std::size_t>(chunks) * kListBlock);
 }
 
 bool NativeRealKernel::maintain_list(const SoaParticles& soa, int chunks,
@@ -315,12 +365,12 @@ bool NativeRealKernel::maintain_list(const SoaParticles& soa, int chunks,
   // Distance-only pass, rows split like the sweep's chunks: bit j of row i
   // is set when the pair's minimum image, in pair_range's arithmetic, is
   // below r_cut + kListSkin. Each row word's r^2 values pass through the
-  // chunk's store buffer, so the distance loop vectorizes.
+  // thread's pair block, so the distance loop vectorizes.
   const double box = cfg_.box;
   const double half = 0.5 * box;
   const double r_list2 = (cfg_.r_cut + kListSkin) * (cfg_.r_cut + kListSkin);
-  for_each_chunk(pool, chunks, [&](std::size_t k) {
-    double* r2 = tmp_.data() + k * 6 * kListBlock;
+  for_each_chunk(pool, chunks, [&](std::size_t k, std::size_t worker) {
+    double* r2 = scratch_[worker].block.lane[0];
     const std::size_t i_end = (k + 1) * n / static_cast<std::size_t>(chunks);
     for (std::size_t i = k * n / static_cast<std::size_t>(chunks); i < i_end;
          ++i) {
@@ -346,12 +396,13 @@ bool NativeRealKernel::maintain_list(const SoaParticles& soa, int chunks,
   return true;
 }
 
-void NativeRealKernel::run_chunk(std::size_t k, int chunks, std::size_t n) {
+void NativeRealKernel::run_chunk(std::size_t k, int chunks, std::size_t n,
+                                 std::size_t worker) {
   double* jfx = jfx_.data() + k * n;
   double* jfy = jfy_.data() + k * n;
   double* jfz = jfz_.data() + k * n;
-  double* tmp = tmp_.data() + k * 6 * kListBlock;
-  std::uint32_t* slots = block_slots_.data() + k * kListBlock;
+  PairBlock& block = scratch_[worker].block;
+  std::uint32_t* slots = scratch_[worker].slots.data();
   std::uint32_t lo = static_cast<std::uint32_t>(n);
   std::uint32_t hi = 0;
   ChunkTally tally;
@@ -372,24 +423,36 @@ void NativeRealKernel::run_chunk(std::size_t k, int chunks, std::size_t n) {
 
   if (n2_) {
     // Each i's list row, decoded in ascending j into blocks of at most
-    // kListBlock slots (a row word adds up to 64).
+    // kListBlock slots (a row word adds up to 64), with the gather's
+    // dx/dy/dz.
+    using L = PairBlock;
+    const double box = cfg_.box;
+    const double half = 0.5 * box;
     const std::size_t words = (n + 63) / 64;
     const std::size_t i_begin = k * n / static_cast<std::size_t>(chunks);
     const std::size_t i_end = (k + 1) * n / static_cast<std::size_t>(chunks);
     for (std::size_t i = i_begin; i < i_end; ++i) {
       const std::uint64_t* row = list_.data() + row_word_[i];
       const std::size_t w0 = (i + 1) / 64;
+      const double xi = xs_[i];
+      const double yi = ys_[i];
+      const double zi = zs_[i];
       Acc acc;
       std::size_t len = 0;
       const auto eval = [&] {
-        pair_range<true>(i, slots, len, jfx, jfy, jfz, tmp, acc);
+        pair_range<true>(i, slots, len, jfx, jfy, jfz, block, acc);
         tally.candidates += len;
         len = 0;
       };
       for (std::size_t w = w0; w < words; ++w) {
-        for (std::uint64_t bits = row[w - w0]; bits != 0; bits &= bits - 1)
-          slots[len++] =
-              static_cast<std::uint32_t>(64 * w + std::countr_zero(bits));
+        for (std::uint64_t bits = row[w - w0]; bits != 0; bits &= bits - 1) {
+          const std::size_t j = 64 * w + std::countr_zero(bits);
+          slots[len] = static_cast<std::uint32_t>(j);
+          block.lane[L::kDx][len] = min_image(xi - xs_[j], box, half);
+          block.lane[L::kDy][len] = min_image(yi - ys_[j], box, half);
+          block.lane[L::kDz][len] = min_image(zi - zs_[j], box, half);
+          ++len;
+        }
         if (len + 64 > kListBlock) eval();
       }
       if (len != 0) eval();
@@ -429,7 +492,7 @@ void NativeRealKernel::run_chunk(std::size_t k, int chunks, std::size_t n) {
           }
         };
         tally.candidates +=
-            filter_eval<true>(a, ranges, jfx, jfy, jfz, tmp, slots, acc);
+            filter_eval<true>(a, ranges, jfx, jfy, jfz, block, slots, acc);
         flush_i(a, acc);
       }
     }
@@ -448,15 +511,16 @@ ForceResult NativeRealKernel::sweep(const SoaParticles& soa,
       n2_ ? n : static_cast<std::size_t>(cells_.cell_count());
   const int chunks = static_cast<int>(
       std::min<std::size_t>(CellList::kPairChunks, units ? units : 1));
-  ensure_scratch(n, chunks);
+  ensure_scratch(n, chunks, chunk_workers(pool));
   if (n2_ && maintain_list(soa, chunks, pool)) {
     static obs::Counter& rebuilds =
         obs::Registry::global().counter("native.pair_list.rebuilds");
     rebuilds.add(1);
   }
 
-  for_each_chunk(pool, chunks,
-                 [&](std::size_t k) { run_chunk(k, chunks, n); });
+  for_each_chunk(pool, chunks, [&](std::size_t k, std::size_t w) {
+    run_chunk(k, chunks, n, w);
+  });
 
   // Chunk-ordered reduction into the caller's force array (slot -> particle
   // through the cell order); buffers are re-zeroed for the next sweep.
@@ -498,7 +562,7 @@ ForceResult NativeRealKernel::one_sided(const SoaParticles& soa,
   MDM_TRACE_SCOPE("native.real_space_one_sided");
   prepare(soa);
   const std::size_t n = soa.size();
-  ensure_scratch(n, 1);
+  ensure_scratch(n, 1, 1);
   ForceResult result;
   double pairs = 0.0;
   std::uint64_t candidates = 0;
@@ -506,7 +570,8 @@ ForceResult NativeRealKernel::one_sided(const SoaParticles& soa,
   const auto eval_i = [&](std::size_t slot, std::size_t id, auto&& ranges) {
     Acc acc;
     candidates += filter_eval<false>(slot, ranges, nullptr, nullptr, nullptr,
-                                     tmp_.data(), block_slots_.data(), acc);
+                                     scratch_[0].block,
+                                     scratch_[0].slots.data(), acc);
     forces[id] += Vec3{acc.fx, acc.fy, acc.fz};
     result.potential += acc.pot;
     result.virial += acc.vir;

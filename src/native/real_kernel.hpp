@@ -11,35 +11,40 @@
 /// the force expression sees only pairs inside the cutoff. Every cell-mode
 /// traversal and both branches of one_sided first run an i's candidate
 /// ranges, in pieces of at most 256 slots, through a distance-only pass
-/// that writes r^2 into a store buffer (it vectorizes), then a branch-free
-/// compaction that appends the kept slots in visit order. The filter keeps
-/// r^2 < r_cut^2 (1 + 1e-12): under -march=native GCC may contract the two
-/// r^2 expressions differently (FMA), so pair_range's own mask stays the
-/// authority and a pair kept only by the margin adds exact zeros. Each i
-/// meets its kept partners in the dense traversal's order and a dropped
-/// pair only ever added +-0 to sums that are never -0, so results are
+/// that writes the min-imaged dx/dy/dz and r^2 into a PairBlock (it
+/// vectorizes), then a branch-free compaction that moves the slots with
+/// r^2 < r_cut^2 down to the block's front, in visit order. The filter and
+/// the evaluate stage's mask compute r^2 with the same operations in the
+/// same order, and mdm_native is built with -ffp-contract=off, so no build
+/// fuses one of them into an FMA: they agree on every pair. Each i meets
+/// its kept partners in the dense traversal's order and a dropped pair
+/// only ever added +-0 to sums that are never -0, so results are
 /// bit-identical to evaluating every candidate.
 ///
-/// The force pass (pair_range) is straight-line arithmetic written with
-/// vectorization in mind:
+/// The force pass runs in three stages over one PairBlock of at most
+/// kListBlock pairs:
 ///
-///  * minimum image is two compare-blend corrections (positions are
-///    pre-wrapped, so |dx| < box), not a libm rounding call;
-///  * erfc/exp use the branch-free rationals of core/fastmath.hpp;
-///  * the cutoff test is a mask (forces blend to zero), not a branch;
-///  * Tosi-Fumi coefficients are per-slot streams pre-gathered per i-species
-///    row, so species lookup is one load per slot, never a type lookup;
-///  * per-i sums (force, potential, virial) go through small store buffers
-///    with a separate accumulation pass, because GCC will not vectorize a
-///    floating-point reduction under strict FP semantics.
+///  * gather (scalar): the min-imaged dx/dy/dz (written by the filter in
+///    cell mode, decoded with the list in N^2 mode), q_j and the four
+///    Tosi-Fumi coefficients of the (type i, type j) pair, from per-slot
+///    rows pre-gathered per i-species, into contiguous lanes;
+///  * evaluate: a branch-free pass over the lanes that GCC auto-vectorizes
+///    (minimum image is already applied, erfc/exp are the branch-free
+///    rationals of core/fastmath.hpp, the cutoff is a bit-AND mask). It
+///    writes force, potential, virial and an in-cutoff count back into the
+///    same lanes;
+///  * scatter/accumulate (scalar): the Newton j-force updates, then the
+///    per-i sums, in the order the pairs were gathered.
 ///
-/// The pair loop does NOT auto-vectorize today: GCC 12.2 reports "not
-/// vectorized: control flow in loop" for its compute pass at -O3, at
-/// -O3 -fno-trapping-math and at -O3 -mavx2 -mfma. To check, compile this
-/// file with -fopt-info-vec-all and grep for 'in loop':
-///
-///   g++ -std=c++20 -O3 -fno-math-errno -Isrc -fopt-info-vec-all -c
-///   src/native/real_kernel.cpp -o /dev/null
+/// The evaluate loop is compiled once per ISA: AVX-512F, AVX2 and the
+/// baseline (SSE2 on x86-64, the only variant elsewhere). The kernel picks
+/// the widest one the CPU supports, once, at construction; there is no
+/// option. Every variant runs the IEEE operations the scalar expression
+/// spells out, lane by lane (no FMA: -ffp-contract=off; no reassociation;
+/// correctly rounded sqrt and division), so all variants give the same
+/// bits as a scalar build. CI compiles this file with
+/// -fopt-info-vec-optimized and fails unless the evaluate loop reports
+/// "loop vectorized".
 ///
 /// Parallel sweeps reuse the repo's fixed-chunk discipline (CellList
 /// kPairChunks): the chunk partition depends only on the grid, j-side
@@ -59,9 +64,9 @@
 /// results are bit-identical to sweeping every pair, whenever the list was
 /// built. Rows are whole 64-bit words, ~N^2/16 bytes (1 MB at N = 4096;
 /// software_parameters reach this mode up to N ~ 6,200, 2.4 MB). Rows are
-/// evaluated in blocks of at most 256 entries, as the filtered traversals
-/// are, so the store buffers scale with neither N nor cell occupancy and a
-/// rebuild never allocates.
+/// evaluated in blocks of at most kListBlock entries, as the filtered
+/// traversals are, so the pair blocks scale with neither N nor cell
+/// occupancy and a rebuild never allocates.
 
 #include <array>
 #include <cstdint>
@@ -76,6 +81,42 @@
 #include "util/thread_pool.hpp"
 
 namespace mdm::native {
+
+/// Most pairs in one PairBlock, and the longest candidate piece the
+/// cell-mode filter measures at once.
+inline constexpr std::size_t kListBlock = 256;
+
+/// The lanes one block of pairs passes through gather -> evaluate ->
+/// scatter: pair k's value of lane L is lane[L][k]. The evaluate stage
+/// reads the input lanes and overwrites them in place with its outputs.
+struct PairBlock {
+  enum Lane : std::size_t {
+    // Inputs: min-imaged r_i - r_j, q_j, and the (type i, type j) Born
+    // prefactor, C6, D8 and energy shift (all zero when Coulomb-only).
+    kDx, kDy, kDz, kQ, kBorn, kC6, kD8, kShift, kLanes,
+    // Outputs: force on i, pair potential, pair virial, 1 if in cutoff.
+    kFx = kDx, kFy = kDy, kFz = kDz, kPot = kQ, kVir = kBorn, kCount = kC6,
+  };
+  alignas(64) double lane[kLanes][kListBlock];
+};
+
+/// Per-i constants of the evaluate stage.
+struct PairConsts {
+  double qi_ke = 0.0;    ///< k_e q_i
+  double beta = 0.0;     ///< alpha / L, 1/A
+  double inv_rho = 0.0;  ///< Born-Mayer 1/rho (0 when Coulomb-only)
+  double cutoff2 = 0.0;  ///< r_cut^2
+};
+
+/// One ISA variant of the evaluate stage: lanes [0, len) of `block`.
+struct PairEvalVariant {
+  const char* isa;
+  void (*evaluate)(PairBlock& block, std::size_t len, const PairConsts& c);
+};
+
+/// The evaluate variants this CPU can run, baseline first, widest last;
+/// NativeRealKernel runs the last one.
+std::span<const PairEvalVariant> pair_eval_variants();
 
 class NativeRealKernel {
  public:
@@ -137,28 +178,32 @@ class NativeRealKernel {
   /// Maintain the cell list (build_auto, cell mode only) and regather the
   /// sorted streams.
   void prepare(const SoaParticles& soa);
-  /// Size the per-chunk scratch for n slots; the store buffers and the
-  /// slot block are a fixed kListBlock wide.
-  void ensure_scratch(std::size_t n, int chunks);
+  /// Size the per-chunk j-force buffers for n slots, and the scratch for
+  /// `workers` threads.
+  void ensure_scratch(std::size_t n, int chunks, std::size_t workers);
 
-  /// Slot a against slots[0..len) (at most kListBlock).
+  /// Slot a against slots[0..len) (at most kListBlock), whose dx/dy/dz
+  /// lanes of `block` are filled: gather the rest, evaluate, scatter.
   template <bool kNewton>
   void pair_range(std::size_t a, const std::uint32_t* slots, std::size_t len,
-                  double* jfx, double* jfy, double* jfz, double* tmp,
+                  double* jfx, double* jfy, double* jfz, PairBlock& block,
                   Acc& acc) const;
   /// Cell-mode and one-sided traversals: filter slot a's candidate ranges
-  /// to the padded cutoff, then pair_range the kept slots. Returns the
-  /// number of slots evaluated.
+  /// to the cutoff, then pair_range the kept slots. Returns the number of
+  /// slots evaluated.
   template <bool kNewton, typename Ranges>
   std::size_t filter_eval(std::size_t a, Ranges&& ranges, double* jfx,
-                          double* jfy, double* jfz, double* tmp,
+                          double* jfy, double* jfz, PairBlock& block,
                           std::uint32_t* slots, Acc& acc) const;
 
   /// N^2 mode: rebuild the pair list if stale; returns true if it ran.
   bool maintain_list(const SoaParticles& soa, int chunks, ThreadPool* pool);
-  void run_chunk(std::size_t k, int chunks, std::size_t n);
+  void run_chunk(std::size_t k, int chunks, std::size_t n,
+                 std::size_t worker);
 
   Config cfg_;
+  /// The widest evaluate variant this CPU runs.
+  decltype(PairEvalVariant::evaluate) evaluate_;
   double inv_rho_ = 0.0;
   double cutoff2_ = 0.0;
   /// phi_sr(r_cut) per type pair (zero unless tf_shift_energy).
@@ -192,9 +237,15 @@ class NativeRealKernel {
     std::uint64_t candidates = 0;
   };
   std::vector<ChunkTally> tally_;
-  /// Per-chunk store buffers of the two-pass accumulation, 6 lanes of
-  /// kListBlock each (lane 0 doubles as the distance passes' r^2 buffer).
-  std::vector<double> tmp_;
+  /// Per-thread scratch: the pair block (a lane doubles as the list
+  /// build's r^2 buffer) and the slots it holds (decoded list words or
+  /// filtered candidates). Nothing in it outlives one i's evaluation, so
+  /// which thread runs a chunk does not matter.
+  struct Scratch {
+    PairBlock block;
+    std::array<std::uint32_t, kListBlock> slots;
+  };
+  std::vector<Scratch> scratch_;
   std::size_t scr_slots_ = 0;
   int scr_chunks_ = 0;
 
@@ -206,9 +257,6 @@ class NativeRealKernel {
   /// Positions at the last list build (the drift anchor).
   std::vector<Vec3> anchor_;
   bool list_valid_ = false;
-  /// Per-chunk slot block handed to pair_range (decoded list words or
-  /// filtered candidates), [chunk * kListBlock + k].
-  std::vector<std::uint32_t> block_slots_;
 
   std::uint64_t last_pairs_ = 0;
   std::uint64_t last_candidates_ = 0;
