@@ -1,12 +1,13 @@
 /// \file bench_hot_paths.cpp
 /// Serial vs thread-pool cost of the hot per-step kernels — Ewald real
-/// space, Tosi-Fumi short range, and the MDGRAPE-2 force pass — plus a
-/// steady-state heap-allocation count per step. The parallel engines are
+/// space, Tosi-Fumi short range, the MDGRAPE-2 force pass and a whole
+/// MdmForceField step (both emulators) — plus a steady-state
+/// heap-allocation count per step. The parallel engines are
 /// bit-reproducible at any pool size, so only time and allocations vary.
 ///
 /// A global counting operator new measures the steady state: after one
-/// warm-up evaluation (which grows the scratch arenas) the migrated cell
-/// -list kernels should make zero heap allocations per step.
+/// warm-up evaluation (which grows the scratch arenas) every kernel should
+/// make zero heap allocations per step.
 ///
 ///   ./bench_hot_paths [--cells 6] [--reps 5] [--pools 1,2,4]
 
@@ -25,6 +26,7 @@
 #include "core/tosi_fumi.hpp"
 #include "ewald/ewald.hpp"
 #include "ewald/parameters.hpp"
+#include "host/mdm_force_field.hpp"
 #include "mdgrape2/gtables.hpp"
 #include "mdgrape2/system.hpp"
 #include "obs/bench_report.hpp"
@@ -162,6 +164,18 @@ int main(int argc, char** argv) {
                         mg.run_force_pass(mg_pass, forces);
                       })});
     }
+    {
+      // The paper's full machine (32 MDGRAPE-2 boards, 2,240 WINE-2 chips):
+      // particle upload, every real-space pass and the DFT/IDFT.
+      host::MdmForceFieldConfig mc;
+      mc.ewald = host::mdm_parameters(double(sys.size()), box);
+      host::MdmForceField mdm(mc, box);
+      mdm.set_thread_pool(pool);
+      rows.push_back({"mdm_force_field", config, measure(reps, [&] {
+                        std::fill(forces.begin(), forces.end(), Vec3{});
+                        mdm.add_forces(sys, forces);
+                      })});
+    }
   };
 
   run_config("serial", nullptr);
@@ -197,17 +211,17 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.str().c_str());
   std::printf(
-      "steady state: the cell-list kernels (ewald_real, tosi_fumi) reuse "
-      "member scratch, so allocs/step should be 0 in every config; wall-clock "
-      "speedups need real cores (this host: %u).\n",
+      "steady state: every kernel reuses member scratch, so allocs/step "
+      "should be 0 in every config; wall-clock speedups need real cores "
+      "(this host: %u).\n",
       std::thread::hardware_concurrency());
 
   report.write();
 
-  // Fail loudly if the migrated kernels regress to per-step allocation.
+  // Fail loudly if a kernel regresses to per-step allocation.
   bool clean = true;
   for (const auto& row : rows)
-    if (row.kernel != "mdgrape2_force" && row.sample.allocs_per_eval > 0.0) {
+    if (row.sample.allocs_per_eval > 0.0) {
       std::printf("REGRESSION: %s/%s allocates %.1f times per step\n",
                   row.kernel.c_str(), row.config.c_str(),
                   row.sample.allocs_per_eval);

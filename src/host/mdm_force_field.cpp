@@ -34,6 +34,8 @@ MdmForceField::MdmForceField(MdmForceFieldConfig config, double box)
 }
 
 void MdmForceField::build_passes(const ParticleSystem& system) {
+  // Host-side table generation (the sec. 4 utility program).
+  obs::ScopedPhase host_phase(obs::Phase::kHost);
   const double beta = config_.ewald.alpha / box_;
   std::vector<double> charges(system.species_count());
   for (int t = 0; t < system.species_count(); ++t)
@@ -75,7 +77,7 @@ ForceResult MdmForceField::add_forces(const ParticleSystem& system,
       charges_scratch_[i] = system.charge(i);
   }
   wine_.set_particles(system.positions(), charges_scratch_, box_);
-  const auto sf = wine_.run_dft();
+  const auto& sf = wine_.run_dft();
   wine_.run_idft(sf, forces);
 
   // 3. Host-side energies. The expensive real-space potential passes run

@@ -1,70 +1,58 @@
 #include "mdgrape2/board.hpp"
 
+#include <array>
 #include <stdexcept>
 
 namespace mdm::mdgrape2 {
 
-void Board::load_particles(std::vector<StoredParticle> particles,
+void Board::load_particles(std::span<const StoredParticle> particles,
                            const CellList& cells) {
   if (particles.size() > kBoardParticleCapacity)
     throw std::length_error(
         "Board: particle memory capacity exceeded (8 MB SSRAM)");
-  particles_ = std::move(particles);
-  const int n_cells = cells.cell_count();
-  cell_ranges_.resize(n_cells);
-  neighbors_.resize(n_cells);
-  for (int c = 0; c < n_cells; ++c) {
-    cell_ranges_[c] = cells.cell_range(c);
-    neighbors_[c] = cells.neighbors27(c);
-  }
+  particles_ = particles;
+  cells_ = &cells;
 }
 
 void Board::load_pass(const ForcePass& pass) {
   for (auto& chip : chips_) chip.load_pass(pass);
 }
 
-std::span<const StoredParticle> Board::cell_stream(int cell) const {
-  const auto r = cell_ranges_[cell];
-  return {particles_.data() + r.begin, r.end - r.begin};
-}
-
-void Board::calc_cell_forces(std::span<const StoredParticle> i_batch,
-                             std::span<const int> i_cells, double box,
-                             std::span<Vec3> forces) {
+template <typename T>
+void Board::calc_cells(std::span<const StoredParticle> i_batch,
+                       std::span<const int> i_cells, double box,
+                       std::span<T> out) {
   if (failed_)
     throw std::logic_error("Board: pass issued to a failed board");
   if (particles_.empty() && !i_batch.empty())
     throw std::logic_error("Board: particle memory not loaded");
-  if (i_batch.size() != i_cells.size() || i_batch.size() != forces.size())
+  if (i_batch.size() != i_cells.size() || i_batch.size() != out.size())
     throw std::invalid_argument("Board: batch size mismatch");
-  // The two chips split the i-batch; each sees the same j-streams.
+  // The cell-index counter: the 27 contiguous particle-memory ranges
+  // around i's cell, in scan order. The i-batch is cell-sorted, so they
+  // change once per cell. The two chips split the i-batch; each sees the
+  // same j-streams.
+  std::array<std::span<const StoredParticle>, 27> streams;
+  int cell = -1;
   for (std::size_t k = 0; k < i_batch.size(); ++k) {
-    Chip& chip = chips_[k % kChips];
-    for (const int cell : neighbors_[i_cells[k]]) {
-      chip.calc_forces({&i_batch[k], 1}, cell_stream(cell), box,
-                       {&forces[k], 1});
+    if (i_cells[k] != cell) {
+      cell = i_cells[k];
+      const auto neighbors = cells_->neighbors27(cell);
+      for (int c = 0; c < 27; ++c) {
+        const auto r = cells_->cell_range(neighbors[c]);
+        streams[c] = particles_.subspan(r.begin, r.end - r.begin);
+      }
     }
+    chips_[k % kChips].calc(i_batch[k], streams, box, out[k]);
   }
 }
 
-void Board::calc_cell_potentials(std::span<const StoredParticle> i_batch,
-                                 std::span<const int> i_cells, double box,
-                                 std::span<double> potentials) {
-  if (failed_)
-    throw std::logic_error("Board: pass issued to a failed board");
-  if (particles_.empty() && !i_batch.empty())
-    throw std::logic_error("Board: particle memory not loaded");
-  if (i_batch.size() != i_cells.size() ||
-      i_batch.size() != potentials.size())
-    throw std::invalid_argument("Board: batch size mismatch");
-  for (std::size_t k = 0; k < i_batch.size(); ++k) {
-    Chip& chip = chips_[k % kChips];
-    for (const int cell : neighbors_[i_cells[k]]) {
-      chip.calc_potentials({&i_batch[k], 1}, cell_stream(cell), box,
-                           {&potentials[k], 1});
-    }
-  }
-}
+template void Board::calc_cells(std::span<const StoredParticle>,
+                                std::span<const int>, double,
+                                std::span<Vec3>);
+template void Board::calc_cells(std::span<const StoredParticle>,
+                                std::span<const int>, double,
+                                std::span<double>);
 
 std::uint64_t Board::pair_operations() const {
   std::uint64_t total = 0;

@@ -32,10 +32,15 @@ class Board {
 
   /// Load the j-side: particle memory (cell-sorted) plus the cell table.
   /// `cells` must have been built over the same positions used to produce
-  /// `particles` (in cell order). Throws if the particle memory capacity is
-  /// exceeded.
-  void load_particles(std::vector<StoredParticle> particles,
+  /// `particles` (in cell order). The board reads both in place (every
+  /// board of a machine shares the one image), so they must stay alive and
+  /// unchanged while the board runs passes. Throws if the particle memory
+  /// capacity is exceeded.
+  void load_particles(std::span<const StoredParticle> particles,
                       const CellList& cells);
+  /// A temporary image or cell list would dangle.
+  void load_particles(std::vector<StoredParticle>&&, const CellList&) = delete;
+  void load_particles(std::span<const StoredParticle>, CellList&&) = delete;
   std::size_t loaded_particles() const { return particles_.size(); }
 
   /// Permanent hardware failure: a failed board refuses further passes
@@ -48,13 +53,12 @@ class Board {
 
   /// Compute forces (or potentials in a potential-mode pass) for the given
   /// i-particles via the 27-cell scan. `i_cells[k]` is the cell id of
-  /// i_batch[k]. Accumulates into `forces`/`potentials`.
-  void calc_cell_forces(std::span<const StoredParticle> i_batch,
-                        std::span<const int> i_cells, double box,
-                        std::span<Vec3> forces);
-  void calc_cell_potentials(std::span<const StoredParticle> i_batch,
-                            std::span<const int> i_cells, double box,
-                            std::span<double> potentials);
+  /// i_batch[k]. Accumulates into `out` (one Vec3 force or double
+  /// potential per i-particle).
+  template <typename T>
+  void calc_cells(std::span<const StoredParticle> i_batch,
+                  std::span<const int> i_cells, double box,
+                  std::span<T> out);
 
   const Chip& chip(int k) const { return chips_[k]; }
   Chip& chip(int k) { return chips_[k]; }
@@ -64,12 +68,8 @@ class Board {
   void reset_counters();
 
  private:
-  /// Stream of one cell: contiguous range of the particle memory.
-  std::span<const StoredParticle> cell_stream(int cell) const;
-
-  std::vector<StoredParticle> particles_;      // cell-sorted particle memory
-  std::vector<CellList::Range> cell_ranges_;   // cell memory
-  std::vector<std::array<int, 27>> neighbors_; // cell-index counter logic
+  std::span<const StoredParticle> particles_;  // cell-sorted particle memory
+  const CellList* cells_ = nullptr;            // cell memory + index counter
   Chip chips_[kChips];
   bool failed_ = false;
 };

@@ -8,8 +8,14 @@ void Chip::load_pass(const ForcePass& pass) {
   if (pass.coefficients.species_count < 1 ||
       pass.coefficients.species_count > kMaxAtomTypes)
     throw std::invalid_argument("Chip: coefficient RAM supports 1..32 types");
-  pass_ = pass;
-  for (auto& p : pipelines_) p.load(&pass_);
+  pass_ = &pass;
+  for (auto& p : pipelines_) p.load(pass_);
+}
+
+void Chip::load_pass(ForcePass&& pass) {
+  auto owned = std::make_unique<const ForcePass>(std::move(pass));
+  load_pass(*owned);
+  owned_pass_ = std::move(owned);
 }
 
 void Chip::calc_forces(std::span<const StoredParticle> i_batch,
@@ -18,31 +24,9 @@ void Chip::calc_forces(std::span<const StoredParticle> i_batch,
   if (!pass_loaded()) throw std::logic_error("Chip: no pass loaded");
   if (forces.size() != i_batch.size())
     throw std::invalid_argument("Chip: force array size mismatch");
-  for (std::size_t k = 0; k < i_batch.size(); ++k) {
-    const auto count = pipelines_[k % kPipelines].accumulate_force(
-        i_batch[k], j_stream, box, forces[k]);
-    pair_operations_ += count.evaluated;
-    useful_pairs_ += count.useful;
-  }
-  // Four pipelines run in lock-step on the broadcast j-stream.
-  const std::uint64_t rounds = (i_batch.size() + kPipelines - 1) / kPipelines;
-  pipeline_cycles_ += rounds * j_stream.size();
-}
-
-void Chip::calc_potentials(std::span<const StoredParticle> i_batch,
-                           std::span<const StoredParticle> j_stream,
-                           double box, std::span<double> potentials) {
-  if (!pass_loaded()) throw std::logic_error("Chip: no pass loaded");
-  if (potentials.size() != i_batch.size())
-    throw std::invalid_argument("Chip: potential array size mismatch");
-  for (std::size_t k = 0; k < i_batch.size(); ++k) {
-    const auto count = pipelines_[k % kPipelines].accumulate_potential(
-        i_batch[k], j_stream, box, potentials[k]);
-    pair_operations_ += count.evaluated;
-    useful_pairs_ += count.useful;
-  }
-  const std::uint64_t rounds = (i_batch.size() + kPipelines - 1) / kPipelines;
-  pipeline_cycles_ += rounds * j_stream.size();
+  for (std::size_t k = 0; k < i_batch.size(); ++k)
+    count(pipelines_[k % kPipelines].accumulate_force(i_batch[k], j_stream,
+                                                      box, forces[k]));
 }
 
 void Chip::load_neighbor_lists(
@@ -68,18 +52,14 @@ void Chip::calc_forces_with_neighbor_lists(
         throw std::out_of_range("Chip: neighbor index out of range");
       stream.push_back(j_particles[idx]);
     }
-    const auto count = pipelines_[k % kPipelines].accumulate_force(
-        i_batch[k], stream, box, forces[k]);
-    pair_operations_ += count.evaluated;
-    useful_pairs_ += count.useful;
-    pipeline_cycles_ += stream.size();
+    count(pipelines_[k % kPipelines].accumulate_force(i_batch[k], stream,
+                                                      box, forces[k]));
   }
 }
 
 void Chip::reset_counters() {
   pair_operations_ = 0;
   useful_pairs_ = 0;
-  pipeline_cycles_ = 0;
 }
 
 }  // namespace mdm::mdgrape2

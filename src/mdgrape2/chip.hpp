@@ -9,6 +9,7 @@
 /// paper's counting).
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -21,10 +22,12 @@ class Chip {
   static constexpr int kPipelines = 4;
 
   /// Load a pass (function table + coefficient RAM contents). Models
-  /// MR1SetTable; the previous pass is overwritten.
+  /// MR1SetTable; the previous pass is replaced. The chip reads `pass` in
+  /// place (the 64 chips of a machine share one copy), so it must outlive
+  /// the chip's use of it; a temporary is moved into the chip instead.
   void load_pass(const ForcePass& pass);
-  bool pass_loaded() const { return !pass_.table.empty(); }
-  const ForcePass& pass() const { return pass_; }
+  void load_pass(ForcePass&& pass);
+  bool pass_loaded() const { return pass_ && !pass_->table.empty(); }
 
   /// Compute forces for a batch of i-particles against one j-stream.
   /// i-particles are distributed over the four pipelines round-robin while
@@ -34,10 +37,17 @@ class Chip {
                    std::span<const StoredParticle> j_stream, double box,
                    std::span<Vec3> forces);
 
-  /// Potential-mode variant (per-i scalar accumulation).
-  void calc_potentials(std::span<const StoredParticle> i_batch,
-                       std::span<const StoredParticle> j_stream, double box,
-                       std::span<double> potentials);
+  /// One i-particle against several j-streams (the board's 27 cells), each
+  /// stream summed on its own and added to `force` (or, in a potential-mode
+  /// pass, `potential`) in stream order.
+  void calc(const StoredParticle& i, Pipeline::Streams j_streams, double box,
+            Vec3& force) {
+    count(pipelines_[0].accumulate_force(i, j_streams, box, force));
+  }
+  void calc(const StoredParticle& i, Pipeline::Streams j_streams, double box,
+            double& potential) {
+    count(pipelines_[0].accumulate_potential(i, j_streams, box, potential));
+  }
 
   /// --- neighbor-list RAM -------------------------------------------------
   /// Load per-i neighbor lists (indices into a j-particle array).
@@ -55,17 +65,20 @@ class Chip {
   std::uint64_t pair_operations() const { return pair_operations_; }
   /// Pairs whose argument fell within the table domain (within r_cut).
   std::uint64_t useful_pair_operations() const { return useful_pairs_; }
-  /// Pipeline-cycles consumed: pairs / 4 rounded up per (i-batch, stream).
-  std::uint64_t pipeline_cycles() const { return pipeline_cycles_; }
   void reset_counters();
 
  private:
-  ForcePass pass_;
+  void count(const PairCount& c) {
+    pair_operations_ += c.evaluated;
+    useful_pairs_ += c.useful;
+  }
+
+  const ForcePass* pass_ = nullptr;
+  std::unique_ptr<const ForcePass> owned_pass_;  ///< a moved-in temporary
   Pipeline pipelines_[kPipelines];
   std::vector<std::vector<std::uint32_t>> neighbor_lists_;
   std::uint64_t pair_operations_ = 0;
   std::uint64_t useful_pairs_ = 0;
-  std::uint64_t pipeline_cycles_ = 0;
 };
 
 }  // namespace mdm::mdgrape2

@@ -56,13 +56,19 @@ SegmentedTable SegmentedTable::fit(const std::function<double(double)>& g,
   // The represented domain starts at the binade floor of x_min.
   table.config_.x_min = std::ldexp(1.0, table.exp_min_);
 
+  table.x_max_f_ = static_cast<float>(config.x_max);
+
   constexpr int kCoef = kInterpolationOrder + 1;
-  table.coefficients_.assign(
-      static_cast<std::size_t>(table.config_.segments) * kCoef, 0.0f);
+  const auto segments = static_cast<std::size_t>(table.config_.segments);
+  table.coefficients_.assign(segments * kCoef, 0.0f);
+  table.mid_.resize(segments);
+  table.half_.resize(segments);
 
   for (int s = 0; s < table.config_.segments; ++s) {
     double lo, hi;
     table.segment_bounds(s, lo, hi);
+    table.mid_[s] = 0.5 * (lo + hi);
+    table.half_[s] = 0.5 * (hi - lo);
     // Degree-4 Chebyshev interpolation nodes on [lo, hi].
     std::vector<double> matrix(kCoef * kCoef);
     std::vector<double> rhs(kCoef);
@@ -85,15 +91,6 @@ SegmentedTable SegmentedTable::fit(const std::function<double(double)>& g,
   return table;
 }
 
-int SegmentedTable::segment_of(double x) const {
-  int e = std::ilogb(x);
-  e = std::min(std::max(e, exp_min_), exp_min_ + exp_count_ - 1);
-  const double mant = x / std::ldexp(1.0, e);  // in [1, 2)
-  int sub = static_cast<int>((mant - 1.0) * sub_per_exp_);
-  sub = std::min(std::max(sub, 0), sub_per_exp_ - 1);
-  return (e - exp_min_) * sub_per_exp_ + sub;
-}
-
 void SegmentedTable::segment_bounds(int s, double& lo, double& hi) const {
   const int e = exp_min_ + s / sub_per_exp_;
   const int sub = s % sub_per_exp_;
@@ -102,34 +99,13 @@ void SegmentedTable::segment_bounds(int s, double& lo, double& hi) const {
   hi = base * (1.0 + static_cast<double>(sub + 1) / sub_per_exp_);
 }
 
-float SegmentedTable::evaluate(float x) const {
-  if (empty()) throw std::logic_error("SegmentedTable: table not loaded");
-  if (!(x > 0.0f)) return 0.0f;                       // self-interaction guard
-  if (x >= static_cast<float>(config_.x_max)) return 0.0f;  // beyond cutoff
-  double xd = x;
-  if (xd < config_.x_min) xd = config_.x_min;         // overlap clamp
-  const int s = segment_of(xd);
-  double lo, hi;
-  segment_bounds(s, lo, hi);
-  // Rescale to t in [-1, 1]; the subtraction and Horner run in single
-  // precision like the hardware datapath.
-  const float t = static_cast<float>((xd - 0.5 * (lo + hi)) / (0.5 * (hi - lo)));
-  const float* c =
-      coefficients_.data() + static_cast<std::size_t>(s) * (kInterpolationOrder + 1);
-  float acc = c[kInterpolationOrder];
-  for (int k = kInterpolationOrder - 1; k >= 0; --k) acc = acc * t + c[k];
-  return acc;
-}
-
 double SegmentedTable::evaluate_exact(double x) const {
   if (empty()) throw std::logic_error("SegmentedTable: table not loaded");
   if (!(x > 0.0)) return 0.0;
   if (x >= config_.x_max) return 0.0;
   if (x < config_.x_min) x = config_.x_min;
   const int s = segment_of(x);
-  double lo, hi;
-  segment_bounds(s, lo, hi);
-  const double t = (x - 0.5 * (lo + hi)) / (0.5 * (hi - lo));
+  const double t = (x - mid_[s]) / half_[s];
   const float* c =
       coefficients_.data() + static_cast<std::size_t>(s) * (kInterpolationOrder + 1);
   double acc = c[kInterpolationOrder];

@@ -67,21 +67,34 @@ struct PairCount {
 };
 
 /// One pipeline. Stateless except for the loaded pass (table +
-/// coefficients); `accumulate` processes a j-stream against one i-particle.
+/// coefficients); `accumulate` processes j-streams against one i-particle.
+/// With several streams (the board's 27 cells) each stream is summed on
+/// its own and added to the accumulator in stream order, exactly as one
+/// call per stream would.
 class Pipeline {
  public:
+  using Streams = std::span<const std::span<const StoredParticle>>;
+
   void load(const ForcePass* pass) { pass_ = pass; }
   bool loaded() const { return pass_ != nullptr; }
 
   /// Force mode: add sum_j b_ij g(a r^2) r_vec to `force` (double accum).
+  PairCount accumulate_force(const StoredParticle& i, Streams j_streams,
+                             double box, Vec3& force) const;
   PairCount accumulate_force(const StoredParticle& i,
                              std::span<const StoredParticle> j_stream,
-                             double box, Vec3& force) const;
+                             double box, Vec3& force) const {
+    return accumulate_force(i, Streams(&j_stream, 1), box, force);
+  }
 
   /// Potential mode: add sum_j b_ij g(a r^2) to `potential`.
+  PairCount accumulate_potential(const StoredParticle& i, Streams j_streams,
+                                 double box, double& potential) const;
   PairCount accumulate_potential(const StoredParticle& i,
                                  std::span<const StoredParticle> j_stream,
-                                 double box, double& potential) const;
+                                 double box, double& potential) const {
+    return accumulate_potential(i, Streams(&j_stream, 1), box, potential);
+  }
 
  private:
   const ForcePass* pass_ = nullptr;

@@ -46,7 +46,12 @@ void Mdgrape2System::load_particles(const ParticleSystem& system,
   obs::ScopedPhase host_phase(obs::Phase::kHost);
   MDM_TRACE_SCOPE("mdgrape2.load_particles");
   box_ = system.box();
-  cells_ = std::make_unique<CellList>(box_, r_cut * config_.cell_margin);
+  // The cell memory is rebuilt in place unless the geometry changed.
+  const double cell_side = r_cut * config_.cell_margin;
+  if (!cells_ || cells_->box() != box_ || cell_side_ != cell_side) {
+    cells_ = std::make_unique<CellList>(box_, cell_side);
+    cell_side_ = cell_side;
+  }
   if (cells_->cells_per_side() < 3)
     throw std::invalid_argument(
         "Mdgrape2System: cell-index method needs >= 3 cells per side "
@@ -68,7 +73,8 @@ void Mdgrape2System::load_particles(const ParticleSystem& system,
       cell_of_slot_[slot] = c;
   }
   // Broadcast the image to every alive board (PCI write in the real
-  // machine; failed boards are off the bus).
+  // machine; failed boards are off the bus). The boards read this one
+  // system-owned image in place.
   for (auto& board : boards_)
     if (!board->failed()) board->load_particles(stored_, *cells_);
 }
@@ -102,13 +108,27 @@ int Mdgrape2System::alive_board_count() const {
 
 PassStats Mdgrape2System::run_force_pass(const ForcePass& pass,
                                          std::span<Vec3> forces) {
-  if (!cells_) throw std::logic_error("Mdgrape2System: particles not loaded");
-  if (forces.size() != stored_.size())
-    throw std::invalid_argument("Mdgrape2System: force array size mismatch");
   if (pass.potential_mode)
     throw std::invalid_argument("Mdgrape2System: pass is potential-mode");
-  obs::ScopedPhase real_phase(obs::Phase::kRealSpace);
   MDM_TRACE_SCOPE("mdgrape2.force_pass");
+  return run_pass(pass, forces, slot_forces_);
+}
+
+PassStats Mdgrape2System::run_potential_pass(const ForcePass& pass,
+                                             std::span<double> potentials) {
+  if (!pass.potential_mode)
+    throw std::invalid_argument("Mdgrape2System: pass is force-mode");
+  MDM_TRACE_SCOPE("mdgrape2.potential_pass");
+  return run_pass(pass, potentials, slot_potentials_);
+}
+
+template <typename T>
+PassStats Mdgrape2System::run_pass(const ForcePass& pass, std::span<T> out,
+                                   std::vector<T>& slot_out) {
+  if (!cells_) throw std::logic_error("Mdgrape2System: particles not loaded");
+  if (out.size() != stored_.size())
+    throw std::invalid_argument("Mdgrape2System: output array size mismatch");
+  obs::ScopedPhase real_phase(obs::Phase::kRealSpace);
 
   const std::size_t n = stored_.size();
   alive_boards_.clear();
@@ -119,7 +139,8 @@ PassStats Mdgrape2System::run_force_pass(const ForcePass& pass,
     throw std::runtime_error(
         "Mdgrape2System: every board has failed; no hardware left to run "
         "the pass");
-  slot_forces_.assign(n, Vec3{});
+  pass_ = pass;  // the one copy every chip reads
+  slot_out.assign(n, T{});
   board_pairs_.assign(boards_.size(), 0);
   board_useful_.assign(boards_.size(), 0);
 
@@ -133,14 +154,13 @@ PassStats Mdgrape2System::run_force_pass(const ForcePass& pass,
     Board& board = *boards_[b];
     const std::uint64_t before = board.pair_operations();
     const std::uint64_t useful_before = board.useful_pair_operations();
-    board.load_pass(pass);
+    board.load_pass(pass_);
     const std::size_t begin = k * n / nb;
     const std::size_t end = (k + 1) * n / nb;
     if (begin == end) return;
-    board.calc_cell_forces(
-        std::span(stored_).subspan(begin, end - begin),
-        std::span(cell_of_slot_).subspan(begin, end - begin), box_,
-        std::span(slot_forces_).subspan(begin, end - begin));
+    board.calc_cells(std::span(stored_).subspan(begin, end - begin),
+                     std::span(cell_of_slot_).subspan(begin, end - begin),
+                     box_, std::span(slot_out).subspan(begin, end - begin));
     board_pairs_[b] = board.pair_operations() - before;
     board_useful_[b] = board.useful_pair_operations() - useful_before;
   };
@@ -162,70 +182,7 @@ PassStats Mdgrape2System::run_force_pass(const ForcePass& pass,
     stats.max_board_pairs = std::max(stats.max_board_pairs, board_pairs_[b]);
   }
   for (std::size_t slot = 0; slot < n; ++slot)
-    forces[original_index_[slot]] += slot_forces_[slot];
-  report_pass(stats, nb < boards_.size());
-  return stats;
-}
-
-PassStats Mdgrape2System::run_potential_pass(const ForcePass& pass,
-                                             std::span<double> potentials) {
-  if (!cells_) throw std::logic_error("Mdgrape2System: particles not loaded");
-  if (potentials.size() != stored_.size())
-    throw std::invalid_argument(
-        "Mdgrape2System: potential array size mismatch");
-  if (!pass.potential_mode)
-    throw std::invalid_argument("Mdgrape2System: pass is force-mode");
-  obs::ScopedPhase real_phase(obs::Phase::kRealSpace);
-  MDM_TRACE_SCOPE("mdgrape2.potential_pass");
-
-  const std::size_t n = stored_.size();
-  alive_boards_.clear();
-  for (std::size_t b = 0; b < boards_.size(); ++b)
-    if (!boards_[b]->failed()) alive_boards_.push_back(b);
-  const std::size_t nb = alive_boards_.size();
-  if (nb == 0)
-    throw std::runtime_error(
-        "Mdgrape2System: every board has failed; no hardware left to run "
-        "the pass");
-  slot_potentials_.assign(n, 0.0);
-  board_pairs_.assign(boards_.size(), 0);
-  board_useful_.assign(boards_.size(), 0);
-
-  auto run_board = [&](std::size_t k) {
-    const std::size_t b = alive_boards_[k];
-    Board& board = *boards_[b];
-    const std::uint64_t before = board.pair_operations();
-    const std::uint64_t useful_before = board.useful_pair_operations();
-    board.load_pass(pass);
-    const std::size_t begin = k * n / nb;
-    const std::size_t end = (k + 1) * n / nb;
-    if (begin == end) return;
-    board.calc_cell_potentials(
-        std::span(stored_).subspan(begin, end - begin),
-        std::span(cell_of_slot_).subspan(begin, end - begin), box_,
-        std::span(slot_potentials_).subspan(begin, end - begin));
-    board_pairs_[b] = board.pair_operations() - before;
-    board_useful_[b] = board.useful_pair_operations() - useful_before;
-  };
-  if (pool_ && pool_->size() > 1) {
-    pool_for(
-        *pool_, nb,
-        [&](unsigned, std::size_t begin, std::size_t end) {
-          for (std::size_t b = begin; b < end; ++b) run_board(b);
-        },
-        /*min_parallel=*/0);
-  } else {
-    for (std::size_t b = 0; b < nb; ++b) run_board(b);
-  }
-
-  PassStats stats;
-  for (std::size_t b = 0; b < boards_.size(); ++b) {
-    stats.pair_operations += board_pairs_[b];
-    stats.useful_pairs += board_useful_[b];
-    stats.max_board_pairs = std::max(stats.max_board_pairs, board_pairs_[b]);
-  }
-  for (std::size_t slot = 0; slot < n; ++slot)
-    potentials[original_index_[slot]] += slot_potentials_[slot];
+    out[original_index_[slot]] += slot_out[slot];
   report_pass(stats, nb < boards_.size());
   return stats;
 }

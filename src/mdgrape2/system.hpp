@@ -81,10 +81,19 @@ class Mdgrape2System {
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
 
  private:
+  /// One pass of either mode over every alive board; `slot_out` is the
+  /// cell-order scratch the boards write into.
+  template <typename T>
+  PassStats run_pass(const ForcePass& pass, std::span<T> out,
+                     std::vector<T>& slot_out);
+
   SystemConfig config_;
   std::vector<std::unique_ptr<Board>> boards_;
   std::unique_ptr<CellList> cells_;
+  double cell_side_ = 0.0;  ///< minimum cell side cells_ was built for
   double box_ = 0.0;
+  /// The loaded pass, copied once per pass; every board's chips read it.
+  ForcePass pass_;
   /// Cell-sorted particle image plus the original index of each slot.
   std::vector<StoredParticle> stored_;
   std::vector<std::uint32_t> original_index_;

@@ -75,7 +75,7 @@ BarnesHutStats BarnesHutCoulomb::compute_on_mdgrape(
   pass.coefficients.a[0][0] = 1.0;
   pass.coefficients.b[0][0] = 1.0;
   pass.use_particle_charge = true;
-  chip.load_pass(pass);
+  chip.load_pass(std::move(pass));  // the chip outlives this call
 
   std::vector<PseudoParticle> list;
   std::vector<mdgrape2::StoredParticle> stream;

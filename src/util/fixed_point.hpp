@@ -172,4 +172,46 @@ inline double quantize(double v, QFormat fmt) {
   return Fixed::from_double(v, fmt).to_double();
 }
 
+/// `quantize(v, fmt)` with the format's scale and bounds computed once: the
+/// hot pipeline loops hold one Quantizer per register format instead of
+/// rebuilding 2^f, 2^-f and the raw range on every call. For finite `v` the
+/// result is bit-equal to `quantize`.
+class Quantizer {
+ public:
+  explicit Quantizer(QFormat fmt) {
+    // Validate first: the raw bounds of an over-wide format overflow.
+    if (!fmt.valid()) throw std::invalid_argument("invalid QFormat");
+    scale_ = std::ldexp(1.0, fmt.frac_bits);
+    lsb_ = fmt.lsb();
+    raw_lo_ = static_cast<double>(fmt.raw_min());
+    raw_hi_ = static_cast<double>(fmt.raw_max());
+    min_value_ = fmt.min_value();
+    max_value_ = fmt.max_value();
+    shifter_rounds_ = fmt.total_bits() <= 52;
+  }
+
+  double operator()(double v) const {
+    const double scaled = v * scale_;
+    if (shifter_rounds_) {
+      // Round half to even inline: below 2^51 adding and removing 1.5 * 2^52
+      // is nearbyint, and past the raw range it stays monotone, so the
+      // clamp saturates exactly as it does after nearbyint. It yields +0
+      // where nearbyint gives -0, which is the +0 a raw word converts to.
+      constexpr double kShifter = 0x1.8p52;
+      return std::clamp((scaled + kShifter) - kShifter, raw_lo_, raw_hi_) *
+             lsb_;
+    }
+    // Wide formats: the int64 round trip turns nearbyint's -0 into +0.
+    const double raw = std::clamp(std::nearbyint(scaled), raw_lo_, raw_hi_);
+    return static_cast<double>(static_cast<std::int64_t>(raw)) * lsb_;
+  }
+  /// Whether `v` lies outside the representable range (the hardware clamps).
+  bool saturates(double v) const { return v > max_value_ || v < min_value_; }
+
+ private:
+  double scale_ = 0, lsb_ = 0, raw_lo_ = 0, raw_hi_ = 0;
+  double min_value_ = 0, max_value_ = 0;
+  bool shifter_rounds_ = false;  ///< raw words fit 52 bits: use the shifter
+};
+
 }  // namespace mdm

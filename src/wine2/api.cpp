@@ -45,7 +45,7 @@ double Wine2Library::calculate_force_and_pot_wavepart_nooffset(
         "match wine2_set_nn");
   system_->load_waves(kvectors);
   system_->set_particles(positions, charges, box);
-  const auto sf = system_->run_dft();
+  const auto& sf = system_->run_dft();
   system_->run_idft(sf, forces);
   return system_->reciprocal_energy(sf);
 }

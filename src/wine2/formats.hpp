@@ -32,11 +32,16 @@ struct WineFormats {
   /// The production configuration of the shipped chip.
   static WineFormats paper() { return {}; }
 
+  /// The trig, coefficient and product registers are Q(2, f) words, so
+  /// each must fit the 63-bit raw word of util/fixed_point (f <= 61).
   bool valid() const {
+    constexpr int kMaxQ2Frac = 63 - 2;
     return phase_bits >= 4 && table_bits >= 2 && table_bits <= phase_bits &&
            trig_frac_bits >= 2 && coeff_frac_bits >= 2 &&
            product_frac_bits >= 2 && accum_frac_bits >= 2 &&
-           phase_bits <= 40 && accum_frac_bits <= 40;
+           phase_bits <= 40 && accum_frac_bits <= 40 &&
+           trig_frac_bits <= kMaxQ2Frac && coeff_frac_bits <= kMaxQ2Frac &&
+           product_frac_bits <= kMaxQ2Frac;
   }
 };
 

@@ -7,32 +7,11 @@
 namespace mdm::wine2 {
 
 Pipeline::Pipeline(const WineFormats& formats, const TrigUnit& trig)
-    : formats_(formats), trig_(&trig) {
-  phase_mask_ = (std::uint64_t{1} << formats_.phase_bits) - 1;
-}
+    : trig_(&trig),
+      phase_mask_((std::uint64_t{1} << formats.phase_bits) - 1) {}
 
 void Pipeline::load_waves(std::vector<WaveSlot> waves) {
   waves_ = std::move(waves);
-}
-
-double Pipeline::quantize_counting(double v, const QFormat& fmt) {
-  if (v > fmt.max_value() || v < fmt.min_value())
-    saturations_.fetch_add(1, std::memory_order_relaxed);
-  return quantize(v, fmt);
-}
-
-std::uint64_t Pipeline::wave_phase(const WaveSlot& wave,
-                                   const WineParticle& particle) const {
-  // theta/2pi = (n_x u_x + n_y u_y + n_z u_z) mod 1: two's complement
-  // multiply-accumulate on the phase words wraps for free.
-  std::uint64_t acc = 0;
-  for (int axis = 0; axis < 3; ++axis) {
-    const auto term = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(wave.n[axis]) *
-        static_cast<std::int64_t>(particle.phase[axis]));
-    acc += term;
-  }
-  return acc & phase_mask_;
 }
 
 std::vector<DftAccumulator> Pipeline::run_dft(
@@ -46,16 +25,19 @@ void Pipeline::run_dft_into(std::span<const WineParticle> particles,
                             std::span<DftAccumulator> out) {
   if (out.size() != waves_.size())
     throw std::invalid_argument("Pipeline: DFT output size mismatch");
-  const QFormat prod{.int_bits = 2, .frac_bits = formats_.product_frac_bits};
+  const Quantizer& prod = trig_->product();
+  std::uint64_t saturated = 0;
   for (std::size_t w = 0; w < waves_.size(); ++w) {
     double plus = 0.0;
     double minus = 0.0;
     for (const auto& p : particles) {
-      const std::uint64_t phase = wave_phase(waves_[w], p);
-      const double s = trig_->sine(phase);
-      const double c = trig_->cosine(phase);
-      const double qs = quantize_counting(p.charge_norm * s, prod);
-      const double qc = quantize_counting(p.charge_norm * c, prod);
+      double s, c;
+      trig_->sincos(wave_phase(waves_[w], p), s, c);
+      const double vs = p.charge_norm * s;
+      const double vc = p.charge_norm * c;
+      saturated += prod.saturates(vs) + prod.saturates(vc);
+      const double qs = prod(vs);
+      const double qc = prod(vc);
       // The wide accumulators add the product grid exactly.
       plus += qs + qc;
       minus += qs - qc;
@@ -65,25 +47,7 @@ void Pipeline::run_dft_into(std::span<const WineParticle> particles,
   }
   ops_.fetch_add(static_cast<std::uint64_t>(waves_.size()) * particles.size(),
                  std::memory_order_relaxed);
-}
-
-Vec3 Pipeline::run_idft_particle(const WineParticle& particle) {
-  const QFormat prod{.int_bits = 2, .frac_bits = formats_.product_frac_bits};
-  Vec3 f;
-  for (const auto& wave : waves_) {
-    const std::uint64_t phase = wave_phase(wave, particle);
-    const double s = trig_->sine(phase);
-    const double c = trig_->cosine(phase);
-    const double cs = quantize_counting(wave.c_norm * s, prod);
-    const double sc = quantize_counting(wave.s_norm * c, prod);
-    const double t = quantize_counting(wave.a_norm * (cs - sc), prod);
-    // Integer wave components scale the product exactly.
-    f.x += t * wave.n[0];
-    f.y += t * wave.n[1];
-    f.z += t * wave.n[2];
-  }
-  ops_.fetch_add(waves_.size(), std::memory_order_relaxed);
-  return f;
+  if (saturated) saturations_.fetch_add(saturated, std::memory_order_relaxed);
 }
 
 WineParticle make_wine_particle(const Vec3& position, double box,

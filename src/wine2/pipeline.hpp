@@ -58,14 +58,12 @@ class Pipeline {
   // Movable so pipelines can live in a std::vector; the op counters are
   // atomics (see below) and are carried over by value.
   Pipeline(Pipeline&& o) noexcept
-      : formats_(o.formats_),
-        trig_(o.trig_),
+      : trig_(o.trig_),
         waves_(std::move(o.waves_)),
         phase_mask_(o.phase_mask_),
         ops_(o.ops_.load(std::memory_order_relaxed)),
         saturations_(o.saturations_.load(std::memory_order_relaxed)) {}
   Pipeline& operator=(Pipeline&& o) noexcept {
-    formats_ = o.formats_;
     trig_ = o.trig_;
     waves_ = std::move(o.waves_);
     phase_mask_ = o.phase_mask_;
@@ -89,9 +87,39 @@ class Pipeline {
   void run_dft_into(std::span<const WineParticle> particles,
                     std::span<DftAccumulator> out);
 
+  /// The resident slots, which the host writes S_n/C_n into for the IDFT.
+  std::span<WaveSlot> resident_waves() { return waves_; }
+
   /// IDFT mode: the (normalized) force accumulation for one particle,
-  /// summed over this pipeline's waves.
-  Vec3 run_idft_particle(const WineParticle& particle);
+  /// summed over this pipeline's waves. Saturations are counted here; the
+  /// wave-particle ops of a pass are counted once by `count_idft_pass`.
+  Vec3 run_idft_particle(const WineParticle& particle) {
+    const Quantizer& prod = trig_->product();
+    std::uint64_t saturated = 0;
+    auto product = [&](double v) {
+      saturated += prod.saturates(v);
+      return prod(v);
+    };
+    Vec3 f;
+    for (const auto& wave : waves_) {
+      double s, c;
+      trig_->sincos(wave_phase(wave, particle), s, c);
+      const double cs = product(wave.c_norm * s);
+      const double sc = product(wave.s_norm * c);
+      const double t = product(wave.a_norm * (cs - sc));
+      // Integer wave components scale the product exactly.
+      f.x += t * wave.n[0];
+      f.y += t * wave.n[1];
+      f.z += t * wave.n[2];
+    }
+    if (saturated) saturations_.fetch_add(saturated, std::memory_order_relaxed);
+    return f;
+  }
+  /// Count one IDFT pass of `particles` streamed particles.
+  void count_idft_pass(std::size_t particles) {
+    ops_.fetch_add(static_cast<std::uint64_t>(waves_.size()) * particles,
+                   std::memory_order_relaxed);
+  }
 
   std::uint64_t wave_particle_ops() const {
     return ops_.load(std::memory_order_relaxed);
@@ -108,12 +136,18 @@ class Pipeline {
 
   /// theta(n, particle) as a cyclic phase word (exposed for tests).
   std::uint64_t wave_phase(const WaveSlot& wave,
-                           const WineParticle& particle) const;
+                           const WineParticle& particle) const {
+    // theta/2pi = (n_x u_x + n_y u_y + n_z u_z) mod 1: two's complement
+    // multiply-accumulate on the phase words wraps for free.
+    std::uint64_t acc = 0;
+    for (int axis = 0; axis < 3; ++axis)
+      acc += static_cast<std::uint64_t>(
+          static_cast<std::int64_t>(wave.n[axis]) *
+          static_cast<std::int64_t>(particle.phase[axis]));
+    return acc & phase_mask_;
+  }
 
  private:
-  double quantize_counting(double v, const QFormat& fmt);
-
-  WineFormats formats_;
   const TrigUnit* trig_;
   std::vector<WaveSlot> waves_;
   std::uint64_t phase_mask_;

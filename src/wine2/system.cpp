@@ -42,6 +42,8 @@ void Chip::load_waves(std::span<const WaveSlot> waves) {
     per_pipeline[j % kPipelines].push_back(waves[j]);
   for (int p = 0; p < kPipelines; ++p)
     pipelines_[p].load_waves(std::move(per_pipeline[p]));
+  occupied_ = static_cast<int>(
+      std::min<std::size_t>(waves.size(), kPipelines));
 }
 
 std::size_t Chip::wave_count() const {
@@ -61,11 +63,8 @@ void Chip::run_dft_into(std::span<const WineParticle> particles,
   }
 }
 
-Vec3 Chip::run_idft_particle(const WineParticle& particle) {
-  Vec3 f;
-  for (auto& p : pipelines_)
-    if (p.wave_count() > 0) f += p.run_idft_particle(particle);
-  return f;
+void Chip::count_idft_pass(std::size_t particles) {
+  for (auto& p : pipelines_) p.count_idft_pass(particles);
 }
 
 std::uint64_t Chip::wave_particle_ops() const {
@@ -121,7 +120,12 @@ void Wine2System::load_waves(const KVectorTable& table) {
         wave_order_.push_back(chip_input[c][j]);
   }
 
-  // Load DFT-mode slots (integer waves only).
+  occupied_chips_ = std::min(n_chips, table.size());
+  chip_offsets_.assign(n_chips + 1, 0);
+  for (std::size_t c = 0; c < n_chips; ++c)
+    chip_offsets_[c + 1] = chip_offsets_[c] + chip_input[c].size();
+
+  // Load the slots: wave triples and a_n (S_n/C_n arrive with the IDFT).
   for (std::size_t c = 0; c < n_chips; ++c) {
     std::vector<WaveSlot> slots;
     slots.reserve(chip_input[c].size());
@@ -137,6 +141,11 @@ void Wine2System::load_waves(const KVectorTable& table) {
     }
     chips_[c].load_waves(slots);
   }
+  resident_.clear();
+  for (std::size_t c = 0; c < occupied_chips_; ++c)
+    for (int p = 0; p < Chip::kPipelines; ++p)
+      for (auto& slot : chips_[c].pipeline(p).resident_waves())
+        resident_.push_back(&slot);
 }
 
 void Wine2System::set_particles(std::span<const Vec3> positions,
@@ -162,59 +171,51 @@ void Wine2System::set_particles(std::span<const Vec3> positions,
                                        charge_scale_, config_.formats);
 }
 
-StructureFactors Wine2System::run_dft() {
+const StructureFactors& Wine2System::run_dft() {
   if (!kvectors_) throw std::logic_error("Wine2System: waves not loaded");
   if (particles_.empty())
     throw std::logic_error("Wine2System: particles not loaded");
   obs::ScopedPhase wave_phase(obs::Phase::kWavenumber);
   MDM_TRACE_SCOPE("wine2.dft");
-  const std::uint64_t ops_before = wave_particle_ops();
   const std::uint64_t sat_before = saturation_count();
 
   // Each chip owns a disjoint range of the shared accumulator array, so
   // chips run concurrently and the result is bit-identical to the serial
-  // scan. The array and offsets are member scratch reused across steps.
-  const std::size_t n_chips = chips_.size();
-  chip_offsets_.resize(n_chips + 1);
-  chip_offsets_[0] = 0;
-  for (std::size_t c = 0; c < n_chips; ++c)
-    chip_offsets_[c + 1] = chip_offsets_[c] + chips_[c].wave_count();
-  dft_acc_.resize(chip_offsets_[n_chips]);
+  // scan. The array is member scratch reused across steps.
+  dft_acc_.resize(wave_order_.size());
   auto run_chips = [&](std::size_t begin, std::size_t end) {
     for (std::size_t c = begin; c < end; ++c)
       chips_[c].run_dft_into(
-          particles_, std::span(dft_acc_)
-                          .subspan(chip_offsets_[c], chips_[c].wave_count()));
+          particles_, std::span(dft_acc_).subspan(
+                          chip_offsets_[c], chip_offsets_[c + 1] -
+                                                chip_offsets_[c]));
   };
   if (pool_ && pool_->size() > 1) {
     pool_for(
-        *pool_, n_chips,
+        *pool_, occupied_chips_,
         [&](unsigned, std::size_t begin, std::size_t end) {
           run_chips(begin, end);
         },
         /*min_parallel=*/0);
   } else {
-    run_chips(0, n_chips);
+    run_chips(0, occupied_chips_);
   }
-  const auto& acc = dft_acc_;
 
-  StructureFactors sf;
-  sf.s.assign(kvectors_->size(), 0.0);
-  sf.c.assign(kvectors_->size(), 0.0);
+  sf_.s.resize(kvectors_->size());
+  sf_.c.resize(kvectors_->size());
   for (std::size_t slot = 0; slot < wave_order_.size(); ++slot) {
     const std::size_t m = wave_order_[slot];
+    const DftAccumulator& acc = dft_acc_[slot];
     // Host reconstructs S and C from S+C and S-C (sec. 3.4.4).
-    sf.s[m] = 0.5 * (acc[slot].s_plus_c + acc[slot].s_minus_c) *
-              charge_scale_;
-    sf.c[m] = 0.5 * (acc[slot].s_plus_c - acc[slot].s_minus_c) *
-              charge_scale_;
+    sf_.s[m] = 0.5 * (acc.s_plus_c + acc.s_minus_c) * charge_scale_;
+    sf_.c[m] = 0.5 * (acc.s_plus_c - acc.s_minus_c) * charge_scale_;
   }
   auto& reg = obs::Registry::global();
   static obs::Counter& dft_ops = reg.counter("wine2.dft_ops");
   static obs::Counter& saturations = reg.counter("wine2.saturations");
-  dft_ops.add(wave_particle_ops() - ops_before);
+  dft_ops.add(wave_order_.size() * particles_.size());
   saturations.add(saturation_count() - sat_before);
-  return sf;
+  return sf_;
 }
 
 void Wine2System::run_idft(const StructureFactors& sf,
@@ -226,48 +227,33 @@ void Wine2System::run_idft(const StructureFactors& sf,
     throw std::invalid_argument("Wine2System: structure factor mismatch");
   obs::ScopedPhase wave_phase(obs::Phase::kWavenumber);
   MDM_TRACE_SCOPE("wine2.idft");
-  const std::uint64_t ops_before = wave_particle_ops();
   const std::uint64_t sat_before = saturation_count();
 
-  // Block-normalize the structure factors and reload the slots in IDFT mode.
+  // Block-normalize the structure factors into the resident slots.
   double sc_max = 0.0;
   for (std::size_t m = 0; m < sf.s.size(); ++m)
     sc_max = std::max({sc_max, std::fabs(sf.s[m]), std::fabs(sf.c[m])});
   const double sc_scale = power_of_two_scale(sc_max);
-
-  const QFormat coeff{.int_bits = 2,
-                      .frac_bits = config_.formats.coeff_frac_bits};
-  const std::size_t n_chips = chips_.size();
-  chip_slots_.resize(n_chips);
-  for (auto& slots : chip_slots_) slots.clear();  // keeps capacity
-  auto& chip_slots = chip_slots_;
-  for (std::size_t m = 0; m < kvectors_->size(); ++m) {
-    const auto& kv = kvectors_->vectors()[m];
-    WaveSlot slot;
-    slot.n[0] = static_cast<int>(kv.n.x);
-    slot.n[1] = static_cast<int>(kv.n.y);
-    slot.n[2] = static_cast<int>(kv.n.z);
-    slot.a_norm = quantize_mantissa(kv.a / a_scale_,
-                                    config_.formats.coeff_frac_bits);
-    slot.s_norm = quantize(sf.s[m] / sc_scale, coeff);
-    slot.c_norm = quantize(sf.c[m] / sc_scale, coeff);
-    chip_slots[m % n_chips].push_back(slot);
+  const Quantizer coeff(
+      QFormat{.int_bits = 2, .frac_bits = config_.formats.coeff_frac_bits});
+  for (std::size_t slot = 0; slot < wave_order_.size(); ++slot) {
+    const std::size_t m = wave_order_[slot];
+    resident_[slot]->s_norm = coeff(sf.s[m] / sc_scale);
+    resident_[slot]->c_norm = coeff(sf.c[m] / sc_scale);
   }
-  for (std::size_t c = 0; c < n_chips; ++c)
-    chips_[c].load_waves(chip_slots[c]);
 
   // F_i = (4 k_e q_i / L^4) * a_scale * sc_scale * sum over the machine.
   // Particles own disjoint force slots, so the loop fans out over the pool
-  // bit-identically to the serial scan (the chips' op counters are relaxed
-  // atomics; their totals are interleaving-independent).
+  // bit-identically to the serial scan (pipelines count saturations in
+  // relaxed atomics; their totals are interleaving-independent).
   const double pref =
       4.0 * units::kCoulomb / (box_ * box_ * box_ * box_) * a_scale_ *
       sc_scale;
   auto idft_range = [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       Vec3 partial;
-      for (auto& chip : chips_)
-        partial += chip.run_idft_particle(particles_[i]);
+      for (std::size_t c = 0; c < occupied_chips_; ++c)
+        partial += chips_[c].run_idft_particle(particles_[i]);
       forces[i] += (pref * charges_[i]) * partial;
     }
   };
@@ -279,14 +265,13 @@ void Wine2System::run_idft(const StructureFactors& sf,
   } else {
     idft_range(0, particles_.size());
   }
-
-  // Restore DFT-mode slots so a subsequent run_dft works unchanged.
-  load_waves(*kvectors_);
+  for (std::size_t c = 0; c < occupied_chips_; ++c)
+    chips_[c].count_idft_pass(particles_.size());
 
   auto& reg = obs::Registry::global();
   static obs::Counter& idft_ops = reg.counter("wine2.idft_ops");
   static obs::Counter& saturations = reg.counter("wine2.saturations");
-  idft_ops.add(wave_particle_ops() - ops_before);
+  idft_ops.add(wave_order_.size() * particles_.size());
   saturations.add(saturation_count() - sat_before);
 }
 

@@ -49,8 +49,18 @@ class Chip {
   void run_dft_into(std::span<const WineParticle> particles,
                     std::span<DftAccumulator> out);
 
-  /// IDFT partial force for one particle over this chip's waves.
-  Vec3 run_idft_particle(const WineParticle& particle);
+  Pipeline& pipeline(int p) { return pipelines_[p]; }
+
+  /// IDFT partial force for one particle over this chip's waves: each
+  /// occupied pipeline's sum, added in pipeline order.
+  Vec3 run_idft_particle(const WineParticle& particle) {
+    Vec3 f;
+    for (int p = 0; p < occupied_; ++p)
+      f += pipelines_[p].run_idft_particle(particle);
+    return f;
+  }
+  /// Count one IDFT pass of `particles` particles on every pipeline.
+  void count_idft_pass(std::size_t particles);
 
   std::uint64_t wave_particle_ops() const;
   std::uint64_t saturation_count() const;
@@ -58,6 +68,8 @@ class Chip {
 
  private:
   std::vector<Pipeline> pipelines_;
+  /// Pipelines holding waves: slots are dealt round-robin, so a prefix.
+  int occupied_ = 0;
 };
 
 class Wine2System {
@@ -77,11 +89,14 @@ class Wine2System {
   void set_particles(std::span<const Vec3> positions,
                      std::span<const double> charges, double box);
 
-  /// DFT step (eqs. 9-10): structure factors in the k-vector table's order.
-  StructureFactors run_dft();
+  /// DFT step (eqs. 9-10): structure factors in the k-vector table's order,
+  /// in a member buffer that the next run_dft overwrites.
+  const StructureFactors& run_dft();
 
   /// IDFT step (eq. 11): adds the wavenumber-space force to `forces`
-  /// (including the physical prefactor 4 k_e q_i / L^4).
+  /// (including the physical prefactor 4 k_e q_i / L^4). The normalized
+  /// S_n/C_n are written into the resident wave slots, which DFT mode
+  /// ignores, so the machine stays ready for the next run_dft.
   void run_idft(const StructureFactors& sf, std::span<Vec3> forces);
 
   /// Reciprocal-space energy from structure factors,
@@ -115,10 +130,14 @@ class Wine2System {
   std::vector<double> charges_;
 
   ThreadPool* pool_ = nullptr;
+  /// Chips holding waves: slots are dealt round-robin, so a prefix. Empty
+  /// chips add +0 to every partial, so the passes skip them exactly.
+  std::size_t occupied_chips_ = 0;
+  std::vector<std::size_t> chip_offsets_;  ///< first dealt slot per chip
+  std::vector<WaveSlot*> resident_;  ///< the pipeline slot of each dealt slot
   /// Per-step scratch, reused across steps.
   std::vector<DftAccumulator> dft_acc_;
-  std::vector<std::size_t> chip_offsets_;  ///< accumulator offset per chip
-  std::vector<std::vector<WaveSlot>> chip_slots_;  ///< IDFT reload staging
+  StructureFactors sf_;
 };
 
 }  // namespace mdm::wine2

@@ -4,43 +4,25 @@
 #include <numbers>
 #include <stdexcept>
 
-#include "util/fixed_point.hpp"
-
 namespace mdm::wine2 {
 
-TrigUnit::TrigUnit(const WineFormats& formats) : formats_(formats) {
+TrigUnit::TrigUnit(const WineFormats& formats)
+    : formats_(formats),
+      trig_(QFormat{.int_bits = 2, .frac_bits = formats.trig_frac_bits}),
+      product_(QFormat{.int_bits = 2, .frac_bits = formats.product_frac_bits}) {
   if (!formats.valid()) throw std::invalid_argument("TrigUnit: bad formats");
   const std::size_t entries = std::size_t{1} << formats.table_bits;
-  const QFormat trig{.int_bits = 2, .frac_bits = formats.trig_frac_bits};
   table_.resize(entries + 1);
   for (std::size_t k = 0; k <= entries; ++k) {
     const double angle = 2.0 * std::numbers::pi * static_cast<double>(k) /
                          static_cast<double>(entries);
-    table_[k] = quantize(std::sin(angle), trig);
+    table_[k] = trig_(std::sin(angle));
   }
   index_shift_ = formats.phase_bits - formats.table_bits;
   phase_mask_ = (std::uint64_t{1} << formats.phase_bits) - 1;
-}
-
-double TrigUnit::sine(std::uint64_t phase) const {
-  phase &= phase_mask_;
-  const std::uint64_t idx = phase >> index_shift_;
-  const std::uint64_t rem = phase & ((std::uint64_t{1} << index_shift_) - 1);
-  // Interpolation weight in the product format.
-  const QFormat prod{.int_bits = 2, .frac_bits = formats_.product_frac_bits};
-  const double w = quantize(
-      static_cast<double>(rem) / std::ldexp(1.0, index_shift_), prod);
-  const double t0 = table_[idx];
-  const double t1 = table_[idx + 1];
-  const QFormat trig{.int_bits = 2, .frac_bits = formats_.trig_frac_bits};
-  return quantize(t0 + w * (t1 - t0), trig);
-}
-
-double TrigUnit::cosine(std::uint64_t phase) const {
-  // cos(theta) = sin(theta + quarter turn).
-  const std::uint64_t quarter = std::uint64_t{1}
-                                << (formats_.phase_bits - 2);
-  return sine(phase + quarter);
+  rem_mask_ = (std::uint64_t{1} << index_shift_) - 1;
+  quarter_ = std::uint64_t{1} << (formats.phase_bits - 2);
+  rem_scale_ = std::ldexp(1.0, -index_shift_);
 }
 
 std::uint64_t coordinate_phase(double x, double box, int phase_bits) {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/fixed_point.hpp"
 #include "wine2/formats.hpp"
 
 namespace mdm::wine2 {
@@ -18,17 +19,41 @@ class TrigUnit {
   explicit TrigUnit(const WineFormats& formats);
 
   /// sin(2 pi * phase / 2^phase_bits), quantized to the trig format.
-  double sine(std::uint64_t phase) const;
+  double sine(std::uint64_t phase) const { return lookup(phase); }
   /// cos(2 pi * phase / 2^phase_bits) via the quarter-turn phase shift.
-  double cosine(std::uint64_t phase) const;
+  double cosine(std::uint64_t phase) const { return lookup(phase + quarter_); }
+  /// Both at once, as the pipeline consumes them.
+  void sincos(std::uint64_t phase, double& s, double& c) const {
+    s = lookup(phase);
+    c = lookup(phase + quarter_);
+  }
 
   const WineFormats& formats() const { return formats_; }
+  /// The product register format (the interpolation weight's, and the
+  /// pipelines' products). One per system, shared by every pipeline.
+  const Quantizer& product() const { return product_; }
 
  private:
+  double lookup(std::uint64_t phase) const {
+    phase &= phase_mask_;
+    const std::uint64_t idx = phase >> index_shift_;
+    const std::uint64_t rem = phase & rem_mask_;
+    // Interpolation weight in the product format; rem / 2^shift is exact
+    // as a multiply by 2^-shift.
+    const double w = product_(static_cast<double>(rem) * rem_scale_);
+    const double t0 = table_[idx];
+    return trig_(t0 + w * (table_[idx + 1] - t0));
+  }
+
   WineFormats formats_;
+  Quantizer trig_;
+  Quantizer product_;
   std::vector<double> table_;  ///< quantized sin at 2^table_bits + 1 knots
   std::uint64_t phase_mask_;
+  std::uint64_t rem_mask_;
+  std::uint64_t quarter_;
   int index_shift_;
+  double rem_scale_;  ///< 2^-index_shift
 };
 
 /// Quantize a position coordinate to an unsigned phase fraction (used for

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "util/random.hpp"
 
 namespace mdm {
 namespace {
@@ -103,6 +109,49 @@ TEST(Fixed, QuantizeHelperMatchesClass) {
 /// Property sweep: add is associative-with-saturation monotone, and
 /// quantize(quantize(x)) == quantize(x) (idempotence).
 class FixedPropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST(Quantizer, BitEqualToQuantize) {
+  // The hoisted form must give quantize's exact bits, in the shifter
+  // (<= 52-bit) and the nearbyint (wider) regimes: ties to even, the +0 of
+  // small negatives, saturation on both sides and infinities.
+  Random rng(11);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const QFormat fmt :
+       {QFormat{.int_bits = 2, .frac_bits = 8},
+        QFormat{.int_bits = 2, .frac_bits = 24},
+        QFormat{.int_bits = 2, .frac_bits = 50},
+        QFormat{.int_bits = 2, .frac_bits = 51},
+        QFormat{.int_bits = 8, .frac_bits = 44},
+        QFormat{.int_bits = 2, .frac_bits = 61},
+        QFormat{.int_bits = 40, .frac_bits = 0}}) {
+    const Quantizer q(fmt);
+    const double lsb = fmt.lsb();
+    std::vector<double> values = {0.0,  -0.0, 0.5 * lsb, -0.5 * lsb,
+                                  1.5 * lsb, -1.5 * lsb, 2.5 * lsb,
+                                  -0.3 * lsb, fmt.max_value(),
+                                  fmt.min_value(), fmt.max_value() + lsb,
+                                  fmt.min_value() - lsb, 1e300, -1e300, inf,
+                                  -inf};
+    for (int k = 0; k < 20000; ++k) {
+      const double scale = std::ldexp(1.0, static_cast<int>(rng.uniform_below(
+                                               fmt.total_bits() + 8)) -
+                                               fmt.frac_bits - 2);
+      values.push_back(rng.uniform(-1.0, 1.0) * scale);
+      // Exact half-lsb ties around random raw words.
+      values.push_back(
+          (static_cast<double>(rng.uniform_below(1u << 20)) - 0x1p19 + 0.5) *
+          lsb);
+    }
+    for (const double v : values) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(q(v)),
+                std::bit_cast<std::uint64_t>(quantize(v, fmt)))
+          << v << " in Q(" << fmt.int_bits << "," << fmt.frac_bits << ")";
+      EXPECT_EQ(q.saturates(v), v > fmt.max_value() || v < fmt.min_value());
+    }
+  }
+  EXPECT_THROW(Quantizer(QFormat{.int_bits = 2, .frac_bits = 62}),
+               std::invalid_argument);
+}
 
 TEST_P(FixedPropertyTest, QuantizeIdempotent) {
   const QFormat q{.int_bits = 8, .frac_bits = GetParam()};

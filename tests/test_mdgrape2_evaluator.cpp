@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "mdgrape2/gtables.hpp"
+#include "util/random.hpp"
 #include "util/statistics.hpp"
 
 namespace mdm::mdgrape2 {
@@ -41,6 +43,39 @@ TEST(SegmentedTable, SegmentsPartitionTheDomain) {
     double lo, hi;
     table.segment_bounds(s, lo, hi);
     EXPECT_EQ(table.segment_of(0.5 * (lo + hi)), s);
+  }
+}
+
+TEST(SegmentedTable, SegmentLookupMatchesIlogbFormula) {
+  // The bit-level lookup must agree with the ilogb/ldexp/divide formula of
+  // the GRAPE convention for every x, including the clamped edges, with a
+  // sub-segment count that is not a power of two.
+  const auto table = SegmentedTable::fit(
+      [](double x) { return 1.0 / x; },
+      {.x_min = 3e-3, .x_max = 37.0, .segments = 1000});
+  double lo0, hi0, lo1, hi1;
+  table.segment_bounds(0, lo0, hi0);
+  table.segment_bounds(table.segment_count() - 1, lo1, hi1);
+  const int exp_min = std::ilogb(lo0);
+  const int exp_top = std::ilogb(lo1);
+  const int per_exp = table.segment_count() / (exp_top - exp_min + 1);
+  auto reference = [&](double x) {
+    const int e = std::min(std::max(std::ilogb(x), exp_min), exp_top);
+    const double mant = x / std::ldexp(1.0, e);
+    const int sub = std::min(
+        std::max(static_cast<int>((mant - 1.0) * per_exp), 0), per_exp - 1);
+    return (e - exp_min) * per_exp + sub;
+  };
+  Random rng(12);
+  for (int k = 0; k < 100000; ++k) {
+    const double x = std::exp(rng.uniform(std::log(1e-4), std::log(200.0)));
+    ASSERT_EQ(table.segment_of(x), reference(x)) << x;
+  }
+  for (int s = 0; s < table.segment_count(); ++s) {
+    double lo, hi;
+    table.segment_bounds(s, lo, hi);
+    for (const double x : {lo, std::nextafter(lo, 0.0), std::nextafter(hi, 0.0)})
+      ASSERT_EQ(table.segment_of(x), reference(x)) << x;
   }
 }
 

@@ -305,7 +305,7 @@ TEST(Board, CapacityLimitEnforced) {
   // Build a matching (empty-ish) cell list; capacity check fires first.
   std::vector<Vec3> dummy;
   cells.build(dummy);
-  EXPECT_THROW(board.load_particles(std::move(too_many), cells),
+  EXPECT_THROW(board.load_particles(too_many, cells),
                std::length_error);
 }
 

@@ -191,6 +191,33 @@ TEST(Wine2System, CapacityAndMisuse) {
   EXPECT_THROW(machine.run_idft(sf, wrong), std::invalid_argument);
 }
 
+TEST(Wine2System, RejectsFormatsWiderThanTheRawWord) {
+  // The trig, coefficient and product registers are Q(2, f): f = 62 would
+  // need a 64-bit raw word, which the constructor must reject up front
+  // rather than the first DFT throwing from inside the pipeline loop.
+  for (int WineFormats::*field :
+       {&WineFormats::trig_frac_bits, &WineFormats::coeff_frac_bits,
+        &WineFormats::product_frac_bits}) {
+    WineFormats formats;
+    formats.*field = 61;
+    EXPECT_TRUE(formats.valid());
+    formats.*field = 62;
+    EXPECT_FALSE(formats.valid());
+    EXPECT_THROW(Wine2System({.clusters = 1,
+                              .boards_per_cluster = 1,
+                              .chips_per_board = 1,
+                              .formats = formats}),
+                 std::invalid_argument);
+  }
+  // The widths the word-width ablation sweeps stay valid.
+  for (int bits = 8; bits <= 30; ++bits) {
+    WineFormats formats;
+    formats.trig_frac_bits = formats.coeff_frac_bits =
+        formats.product_frac_bits = bits;
+    EXPECT_TRUE(formats.valid()) << bits;
+  }
+}
+
 TEST(Wine2Api, TableTwoWorkflow) {
   TestSetup t(2, 14);
   EwaldCoulomb reference(t.params, t.system.box());
