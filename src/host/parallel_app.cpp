@@ -6,6 +6,7 @@
 #include <memory>
 #include <numbers>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 
 #include "core/checkpoint.hpp"
@@ -309,9 +310,7 @@ class RealProcess {
                                shared.config.domain_ny,
                                shared.config.domain_nz, shared.box)
                   : DomainGrid::for_processes(shared.config.real_processes,
-                                              shared.box)),
-        mdgrape_({.clusters = shared.config.mdgrape_boards_per_process,
-                  .boards_per_cluster = 1}) {
+                                              shared.box)) {
     if (shared_.config.kspace_solver == KspaceSolver::kPme) {
       const PmeParameters pme = resolved_pme(shared_.config);
       pme_layout_ = PmeSlabLayout::create(pme.grid, pme.order,
@@ -329,6 +328,9 @@ class RealProcess {
       native_kernel_ = std::make_unique<native::NativeRealKernel>(rc);
       return;
     }
+    mdgrape_.emplace(mdgrape2::SystemConfig{
+        .clusters = shared_.config.mdgrape_boards_per_process,
+        .boards_per_cluster = 1});
     force_passes_.push_back(mdgrape2::make_coulomb_real_pass(
         beta, shared_.config.ewald.r_cut, shared_.species_charge));
     potential_passes_.push_back(mdgrape2::make_coulomb_real_potential_pass(
@@ -398,13 +400,20 @@ class RealProcess {
     maybe_fail_rank(shared_, rank(), step);
     const int board = injector->board_to_fail(rank(), step);
     if (board < 0) return;
-    if (board >= mdgrape_.board_count() || mdgrape_.board_failed(board))
+    if (!mdgrape_) {
+      MDM_LOG_WARN(
+          "parallel: rank %d has no MDGRAPE-2 boards on the native backend; "
+          "ignoring the injected loss of board %d at step %d",
+          rank(), board, step);
+      return;
+    }
+    if (board >= mdgrape_->board_count() || mdgrape_->board_failed(board))
       return;
     MDM_LOG_WARN(
         "parallel: rank %d loses MDGRAPE-2 board %d at step %d; degrading "
         "to %d boards",
-        rank(), board, step, mdgrape_.alive_board_count() - 1);
-    mdgrape_.fail_board(board);
+        rank(), board, step, mdgrape_->alive_board_count() - 1);
+    mdgrape_->fail_board(board);
     static obs::Counter& failures =
         obs::Registry::global().counter("parallel.board_failures");
     failures.add(1);
@@ -533,9 +542,9 @@ class RealProcess {
 
     std::vector<Vec3> forces(local.size(), Vec3{});
     if (local.size() > 0) {
-      mdgrape_.load_particles(local, shared_.config.ewald.r_cut);
+      mdgrape_->load_particles(local, shared_.config.ewald.r_cut);
       for (const auto& pass : force_passes_)
-        mdgrape_.run_force_pass(pass, forces);
+        mdgrape_->run_force_pass(pass, forces);
     }
     for (std::size_t i = 0; i < my_.size(); ++i) my_[i].force = forces[i];
 
@@ -545,7 +554,7 @@ class RealProcess {
     if (local.size() > 0) {
       std::vector<double> pot(local.size(), 0.0);
       for (const auto& pass : potential_passes_)
-        mdgrape_.run_potential_pass(pass, pot);
+        mdgrape_->run_potential_pass(pass, pot);
       for (std::size_t i = 0; i < my_.size(); ++i)
         local_potential_ += 0.5 * pot[i];
     }
@@ -763,7 +772,7 @@ class RealProcess {
   DomainGrid grid_;
   PmeSlabLayout pme_layout_{};  ///< kPme only: wavenumber routing map
   bool use_pme_ = false;
-  mdgrape2::Mdgrape2System mdgrape_;
+  std::optional<mdgrape2::Mdgrape2System> mdgrape_;  ///< emulator backend
   std::vector<mdgrape2::ForcePass> force_passes_;
   std::vector<mdgrape2::ForcePass> potential_passes_;
   // Native backend (DESIGN.md §11): fused one-sided kernel plus reusable

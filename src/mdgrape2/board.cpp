@@ -21,7 +21,7 @@ void Board::load_pass(const ForcePass& pass) {
 template <typename T>
 void Board::calc_cells(std::span<const StoredParticle> i_batch,
                        std::span<const int> i_cells, double box,
-                       std::span<T> out) {
+                       std::span<T> out, JLanes& lanes) {
   if (failed_)
     throw std::logic_error("Board: pass issued to a failed board");
   if (particles_.empty() && !i_batch.empty())
@@ -30,8 +30,8 @@ void Board::calc_cells(std::span<const StoredParticle> i_batch,
     throw std::invalid_argument("Board: batch size mismatch");
   // The cell-index counter: the 27 contiguous particle-memory ranges
   // around i's cell, in scan order. The i-batch is cell-sorted, so they
-  // change once per cell. The two chips split the i-batch; each sees the
-  // same j-streams.
+  // change once per cell, and are staged into the lanes then. The two
+  // chips split the i-batch; each sees the same j-streams.
   std::array<std::span<const StoredParticle>, 27> streams;
   int cell = -1;
   for (std::size_t k = 0; k < i_batch.size(); ++k) {
@@ -42,17 +42,18 @@ void Board::calc_cells(std::span<const StoredParticle> i_batch,
         const auto r = cells_->cell_range(neighbors[c]);
         streams[c] = particles_.subspan(r.begin, r.end - r.begin);
       }
+      lanes.stage(streams);
     }
-    chips_[k % kChips].calc(i_batch[k], streams, box, out[k]);
+    chips_[k % kChips].calc(i_batch[k], lanes, box, out[k]);
   }
 }
 
 template void Board::calc_cells(std::span<const StoredParticle>,
                                 std::span<const int>, double,
-                                std::span<Vec3>);
+                                std::span<Vec3>, JLanes&);
 template void Board::calc_cells(std::span<const StoredParticle>,
                                 std::span<const int>, double,
-                                std::span<double>);
+                                std::span<double>, JLanes&);
 
 std::uint64_t Board::pair_operations() const {
   std::uint64_t total = 0;

@@ -28,7 +28,6 @@ inline constexpr std::size_t kBoardParticleCapacity = 8u * 1024 * 1024 / 16;
 class Board {
  public:
   static constexpr int kChips = 2;
-  static constexpr int kPipelinesPerBoard = kChips * Chip::kPipelines;
 
   /// Load the j-side: particle memory (cell-sorted) plus the cell table.
   /// `cells` must have been built over the same positions used to produce
@@ -54,11 +53,12 @@ class Board {
   /// Compute forces (or potentials in a potential-mode pass) for the given
   /// i-particles via the 27-cell scan. `i_cells[k]` is the cell id of
   /// i_batch[k]. Accumulates into `out` (one Vec3 force or double
-  /// potential per i-particle).
+  /// potential per i-particle). `lanes` is the caller's staging scratch
+  /// (one per thread running boards).
   template <typename T>
   void calc_cells(std::span<const StoredParticle> i_batch,
-                  std::span<const int> i_cells, double box,
-                  std::span<T> out);
+                  std::span<const int> i_cells, double box, std::span<T> out,
+                  JLanes& lanes);
 
   const Chip& chip(int k) const { return chips_[k]; }
   Chip& chip(int k) { return chips_[k]; }

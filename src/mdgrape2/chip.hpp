@@ -37,16 +37,15 @@ class Chip {
                    std::span<const StoredParticle> j_stream, double box,
                    std::span<Vec3> forces);
 
-  /// One i-particle against several j-streams (the board's 27 cells), each
-  /// stream summed on its own and added to `force` (or, in a potential-mode
-  /// pass, `potential`) in stream order.
-  void calc(const StoredParticle& i, Pipeline::Streams j_streams, double box,
-            Vec3& force) {
-    count(pipelines_[0].accumulate_force(i, j_streams, box, force));
+  /// One i-particle against the j's staged in `j` (the board's 27 cells),
+  /// each stream summed on its own and added to `force` (or, in a
+  /// potential-mode pass, `potential`) in stream order.
+  void calc(const StoredParticle& i, JLanes& j, double box, Vec3& force) {
+    count(pipelines_[0].accumulate_force(i, j, box, force));
   }
-  void calc(const StoredParticle& i, Pipeline::Streams j_streams, double box,
+  void calc(const StoredParticle& i, JLanes& j, double box,
             double& potential) {
-    count(pipelines_[0].accumulate_potential(i, j_streams, box, potential));
+    count(pipelines_[0].accumulate_potential(i, j, box, potential));
   }
 
   /// --- neighbor-list RAM -------------------------------------------------

@@ -80,10 +80,11 @@ class SegmentedTable {
     // Rescale to t in [-1, 1]; the subtraction and Horner run in single
     // precision like the hardware datapath.
     const float t = static_cast<float>((xd - mid_[s]) / half_[s]);
-    const float* c = coefficients_.data() +
-                     static_cast<std::size_t>(s) * (kInterpolationOrder + 1);
-    float acc = c[kInterpolationOrder];
-    for (int k = kInterpolationOrder - 1; k >= 0; --k) acc = acc * t + c[k];
+    // An int index from the table's base: lane loops gather the terms.
+    const int c = s * (kInterpolationOrder + 1);
+    float acc = coefficients_[c + kInterpolationOrder];
+    for (int k = kInterpolationOrder - 1; k >= 0; --k)
+      acc = acc * t + coefficients_[c + k];
     return acc;
   }
 

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "mdgrape2/gtables.hpp"
 #include "util/vec3.hpp"
@@ -66,38 +67,70 @@ struct PairCount {
   }
 };
 
-/// One pipeline. Stateless except for the loaded pass (table +
-/// coefficients); `accumulate` processes j-streams against one i-particle.
-/// With several streams (the board's 27 cells) each stream is summed on
-/// its own and added to the accumulator in stream order, exactly as one
-/// call per stream would.
-class Pipeline {
- public:
+/// The j side of one pipeline run as SoA lanes: the streams' particles
+/// staged back to back in stream order (each in particle-memory order),
+/// plus the per-i lanes the filter and evaluate stages fill. The board
+/// stages its 27 cell streams once per i-cell; every i of the cell then
+/// runs one filter loop over the whole set.
+struct JLanes {
   using Streams = std::span<const std::span<const StoredParticle>>;
 
+  /// Copy `streams` into the staged lanes.
+  void stage(Streams streams);
+  /// Capacity for `n` staged j's, so later stages do not allocate.
+  void reserve(std::size_t n) { resize(n, /*reserve_only=*/true); }
+
+  // Staged j side.
+  std::vector<std::uint64_t> x, y, z;
+  std::vector<std::int32_t> type;
+  std::vector<float> charge;
+  std::vector<std::uint32_t> stream_end;  ///< end of each stream's run
+  // Per-i filter output: displacement, x = a r^2, in-domain flag.
+  std::vector<float> dx, dy, dz, arg;
+  std::vector<std::uint32_t> in;
+  // The in-domain pairs, compacted in staged order, and the end of each
+  // stream's run among them.
+  std::vector<std::uint32_t> kept, kept_end;
+
+ private:
+  void resize(std::size_t n, bool reserve_only = false);
+};
+
+/// One pipeline. Stateless except for the loaded pass (table +
+/// coefficients) and the lanes its stream overloads stage into;
+/// `accumulate` runs the staged j's against one i-particle. With several
+/// streams (the board's 27 cells) each stream is summed on its own and
+/// added to the accumulator in stream order, exactly as one call per stream
+/// would.
+class Pipeline {
+ public:
   void load(const ForcePass* pass) { pass_ = pass; }
   bool loaded() const { return pass_ != nullptr; }
 
   /// Force mode: add sum_j b_ij g(a r^2) r_vec to `force` (double accum).
-  PairCount accumulate_force(const StoredParticle& i, Streams j_streams,
-                             double box, Vec3& force) const;
+  PairCount accumulate_force(const StoredParticle& i, JLanes& j, double box,
+                             Vec3& force) const;
+  /// Potential mode: add sum_j b_ij g(a r^2) to `potential`.
+  PairCount accumulate_potential(const StoredParticle& i, JLanes& j,
+                                 double box, double& potential) const;
+
+  /// The same over one j-stream, staged into the pipeline's own lanes.
   PairCount accumulate_force(const StoredParticle& i,
                              std::span<const StoredParticle> j_stream,
-                             double box, Vec3& force) const {
-    return accumulate_force(i, Streams(&j_stream, 1), box, force);
+                             double box, Vec3& force) {
+    lanes_.stage({&j_stream, 1});
+    return accumulate_force(i, lanes_, box, force);
   }
-
-  /// Potential mode: add sum_j b_ij g(a r^2) to `potential`.
-  PairCount accumulate_potential(const StoredParticle& i, Streams j_streams,
-                                 double box, double& potential) const;
   PairCount accumulate_potential(const StoredParticle& i,
                                  std::span<const StoredParticle> j_stream,
-                                 double box, double& potential) const {
-    return accumulate_potential(i, Streams(&j_stream, 1), box, potential);
+                                 double box, double& potential) {
+    lanes_.stage({&j_stream, 1});
+    return accumulate_potential(i, lanes_, box, potential);
   }
 
  private:
   const ForcePass* pass_ = nullptr;
+  JLanes lanes_;
 };
 
 }  // namespace mdm::mdgrape2

@@ -1,5 +1,6 @@
 #include "mdgrape2/system.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "obs/logger.hpp"
@@ -149,7 +150,12 @@ PassStats Mdgrape2System::run_pass(const ForcePass& pass, std::span<T> out,
   // concurrently and the result is bit-identical to the serial loop. When
   // boards have failed, the partition spans the survivors only (graceful
   // degradation).
-  auto run_board = [&](std::size_t k) {
+  // Any 27-cell neighbourhood holds at most n particles (>= 3 cells per
+  // side), so lanes reserved for n never grow during a pass.
+  lanes_.resize(std::max<std::size_t>(lanes_.size(),
+                                      pool_ ? pool_->size() : 1));
+  for (auto& lanes : lanes_) lanes.reserve(n);
+  auto run_board = [&](std::size_t k, JLanes& lanes) {
     const std::size_t b = alive_boards_[k];
     Board& board = *boards_[b];
     const std::uint64_t before = board.pair_operations();
@@ -160,20 +166,15 @@ PassStats Mdgrape2System::run_pass(const ForcePass& pass, std::span<T> out,
     if (begin == end) return;
     board.calc_cells(std::span(stored_).subspan(begin, end - begin),
                      std::span(cell_of_slot_).subspan(begin, end - begin),
-                     box_, std::span(slot_out).subspan(begin, end - begin));
+                     box_, std::span(slot_out).subspan(begin, end - begin),
+                     lanes);
     board_pairs_[b] = board.pair_operations() - before;
     board_useful_[b] = board.useful_pair_operations() - useful_before;
   };
-  if (pool_ && pool_->size() > 1) {
-    pool_for(
-        *pool_, nb,
-        [&](unsigned, std::size_t begin, std::size_t end) {
-          for (std::size_t b = begin; b < end; ++b) run_board(b);
-        },
-        /*min_parallel=*/0);
-  } else {
-    for (std::size_t b = 0; b < nb; ++b) run_board(b);
-  }
+  pool_for_items(pool_, nb, [&](unsigned w, std::size_t begin,
+                                std::size_t end) {
+    for (std::size_t b = begin; b < end; ++b) run_board(b, lanes_[w]);
+  });
 
   PassStats stats;
   for (std::size_t b = 0; b < boards_.size(); ++b) {

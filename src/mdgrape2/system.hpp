@@ -105,6 +105,8 @@ class Mdgrape2System {
   std::vector<std::uint64_t> board_pairs_;
   std::vector<std::uint64_t> board_useful_;
   std::vector<std::size_t> alive_boards_;
+  /// Staging lanes, one per thread running boards.
+  std::vector<JLanes> lanes_;
 };
 
 }  // namespace mdm::mdgrape2

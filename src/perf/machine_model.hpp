@@ -103,10 +103,12 @@ double optimal_alpha(const MachineModel& machine, double n_particles,
 /// NaCl melt (BENCH_backend.json); override with your own measurements for
 /// a different host.
 struct BackendCostModel {
-  /// The emulator rates predate the hoisted-format emulator hot paths
-  /// (EXPERIMENTS.md "Emulator hot paths"), which run several times
-  /// faster. They are kept because recommended_backend is tuned on them;
-  /// ROADMAP item 3 replaces these constants with measured ones.
+  /// The emulator rates predate the emulator hot paths and lanes
+  /// (EXPERIMENTS.md "Emulator hot paths", "Emulator lanes"):
+  /// `bench_backend --cells 4 --reps 3` now reads 19.6 ns per candidate
+  /// pair and 10.6 ns per particle-wave (AVX-512 variant, 4-vCPU x86-64,
+  /// GCC 12.2 portable Release). They are kept because recommended_backend
+  /// is tuned on them; ROADMAP item 3 replaces them with measured ones.
   double emulator_ns_per_pair = 114.0;
   /// real.native_ns_per_pair of `bench_backend --cells 4 --reps 20` (N =
   /// 512, cell mode), median of 3 runs on a 4-vCPU x86-64 host, GCC 12.2

@@ -1,6 +1,8 @@
 #include "serve/fleet/shard.hpp"
 
 #include <poll.h>
+#include <sys/eventfd.h>
+#include <unistd.h>
 
 #include <csignal>
 #include <map>
@@ -16,6 +18,14 @@ volatile std::sig_atomic_t g_drain = 0;
 
 void on_sigterm(int) { g_drain = 1; }
 
+/// An eventfd the service signals when a job finishes, which wakes the
+/// loop's poll to report it (poll skips it if creation failed, leaving the
+/// timeout); closed when the shard returns.
+struct WakeFd {
+  const int fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  ~WakeFd() { ::close(fd); }
+};
+
 struct InFlight {
   JobHandle handle;
   std::size_t cursor = 0;  ///< stream position already sent as chunks
@@ -28,12 +38,14 @@ int shard_main(const ShardConfig& config) {
   std::signal(SIGPIPE, SIG_IGN);
   const int fd = config.ipc_fd;
 
+  const WakeFd wake;  // outlives the service, which signals it
   ServiceConfig sc;
   sc.workers = config.workers;
   sc.threads_per_job = config.threads_per_job;
   sc.admission.max_queue_depth = config.queue_cap;
   sc.stream_samples = true;       // every fleet job is pollable mid-run
   sc.checkpoint_on_cancel = true; // drain persists the exact cancel step
+  sc.on_job_done = [&wake] { ::eventfd_write(wake.fd, 1); };
   SimService service(sc);
   service.start();
 
@@ -78,11 +90,15 @@ int shard_main(const ShardConfig& config) {
       return 0;
     }
 
-    struct pollfd pfd{};
-    pfd.fd = fd;
-    pfd.events = POLLIN;
-    const int rc = ::poll(&pfd, 1, 20);
-    if (rc > 0 && (pfd.revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
+    // Wake on a router frame or a finished job; the timeout paces the
+    // sample chunks of running jobs.
+    struct pollfd pfd[2] = {{.fd = fd, .events = POLLIN, .revents = 0},
+                            {.fd = wake.fd, .events = POLLIN, .revents = 0}};
+    const int rc = ::poll(pfd, 2, 20);
+    eventfd_t finished;
+    if (rc > 0 && (pfd[1].revents & POLLIN) != 0)
+      ::eventfd_read(wake.fd, &finished);
+    if (rc > 0 && (pfd[0].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
       auto frame = recv_frame(fd);
       if (!frame) {
         // Router died: nothing to report results to; stop and exit.

@@ -3,8 +3,9 @@
 /// \file shard.hpp
 /// One fleet shard: a full SimService wrapped in a single-threaded IPC loop
 /// talking to the Router over the socketpair fd it inherited across exec
-/// (DESIGN.md §13). The loop polls the socket with a short timeout, pumps
-/// live trajectory chunks and terminal results back, and answers
+/// (DESIGN.md §13). The loop polls the socket and an eventfd, which the
+/// service signals when a job finishes, with a short timeout that paces the
+/// live trajectory chunks; it pumps chunks and terminal results back and answers
 /// heartbeats; SIGTERM (or a kDrain frame) starts a graceful drain:
 /// in-flight jobs are cooperatively cancelled with checkpoint_on_cancel —
 /// persisting a (checkpoint, manifest) pair at each job's exact current

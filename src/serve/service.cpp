@@ -218,6 +218,7 @@ void SimService::finalize_locked(Job& job, JobResult result,
           .observe(static_cast<double>(stat.total_ns) * 1e-6);
   }
   job.finalize(std::move(result));
+  if (config_.on_job_done) config_.on_job_done();
   if (--unfinished_ == 0) idle_cv_.notify_all();
 }
 

@@ -26,6 +26,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -53,6 +54,9 @@ struct ServiceConfig {
   /// resume_manifest jobs, a manifest) at the exact cancel step, so
   /// SIGTERM-drained jobs migrate with zero recomputation.
   bool checkpoint_on_cancel = false;
+  /// Called, under the service lock, as each admitted job turns terminal
+  /// (quick, no calls back into the service): the fleet shard's wake-up.
+  std::function<void()> on_job_done;
 };
 
 class SimService {

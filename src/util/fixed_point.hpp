@@ -14,6 +14,7 @@
 /// about 10^-4.5.
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cmath>
 #include <limits>
@@ -191,22 +192,40 @@ class Quantizer {
   }
 
   double operator()(double v) const {
-    const double scaled = v * scale_;
-    if (shifter_rounds_) {
-      // Round half to even inline: below 2^51 adding and removing 1.5 * 2^52
-      // is nearbyint, and past the raw range it stays monotone, so the
-      // clamp saturates exactly as it does after nearbyint. It yields +0
-      // where nearbyint gives -0, which is the +0 a raw word converts to.
-      constexpr double kShifter = 0x1.8p52;
-      return std::clamp((scaled + kShifter) - kShifter, raw_lo_, raw_hi_) *
-             lsb_;
-    }
-    // Wide formats: the int64 round trip turns nearbyint's -0 into +0.
-    const double raw = std::clamp(std::nearbyint(scaled), raw_lo_, raw_hi_);
-    return static_cast<double>(static_cast<std::int64_t>(raw)) * lsb_;
+    return shifter_rounds_ ? round<true>(v) : round<false>(v);
   }
+  /// The rounding with the format-width test hoisted out (the lane kernels
+  /// pick kShifter once per pass); branch-free, so loops vectorize.
+  ///  * kShifter (raw words fit 52 bits): adding and removing 1.5 * 2^52
+  ///    rounds half to even below 2^51 and stays monotone past the raw
+  ///    range, so the clamp saturates as after nearbyint; -0 becomes +0,
+  ///    the +0 a raw word converts to.
+  ///  * otherwise, exact for every format: |v| plus and minus 2^52 rounds
+  ///    half to even below 2^52 (larger doubles are integers and add +0),
+  ///    the sign is copied back, and adding +0 turns -0 into +0 as the
+  ///    int64 raw-word round trip does.
+  /// The clamp is std::clamp's two sequential selects.
+  template <bool kShifter>
+  double round(double v) const {
+    const double scaled = v * scale_;
+    double raw;
+    if constexpr (kShifter) {
+      constexpr double kShift = 0x1.8p52;
+      raw = (scaled + kShift) - kShift;
+    } else {
+      const double mag = std::fabs(scaled);
+      const double shift = std::bit_cast<double>(
+          std::bit_cast<std::uint64_t>(0x1p52) &
+          (std::uint64_t{0} - (mag < 0x1p52)));  // 2^52, or +0 past it
+      raw = std::copysign((mag + shift) - shift, scaled) + 0.0;
+    }
+    raw = raw < raw_lo_ ? raw_lo_ : raw;
+    raw = raw_hi_ < raw ? raw_hi_ : raw;
+    return raw * lsb_;
+  }
+  bool shifter_rounds() const { return shifter_rounds_; }
   /// Whether `v` lies outside the representable range (the hardware clamps).
-  bool saturates(double v) const { return v > max_value_ || v < min_value_; }
+  bool saturates(double v) const { return (v > max_value_) | (v < min_value_); }
 
  private:
   double scale_ = 0, lsb_ = 0, raw_lo_ = 0, raw_hi_ = 0;

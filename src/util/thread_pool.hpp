@@ -137,4 +137,14 @@ void pool_for(ThreadPool& pool, std::size_t n, Fn&& fn,
       const_cast<void*>(static_cast<const void*>(&fn)), min_parallel);
 }
 
+/// pool_for with every item fanned out (min_parallel = 0) when `pool` has
+/// workers; otherwise fn(0, 0, n) inline. For loops whose items are heavy.
+template <typename Fn>
+void pool_for_items(ThreadPool* pool, std::size_t n, Fn&& fn) {
+  if (pool && pool->size() > 1)
+    pool_for(*pool, n, fn, /*min_parallel=*/0);
+  else
+    fn(0u, std::size_t{0}, n);
+}
+
 }  // namespace mdm

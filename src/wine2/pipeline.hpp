@@ -17,7 +17,6 @@
 /// alongside and applied by the host library after download. All pipeline
 /// registers are quantized to the configured Q-formats.
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -49,113 +48,87 @@ struct DftAccumulator {
   double s_minus_c = 0.0;
 };
 
+/// Slots (DFT) or particles (IDFT) one lane kernel call carries side by
+/// side: 8 doubles, one AVX-512 register.
+inline constexpr std::size_t kWaveLanes = 8;
+
+/// Resident wave slots as SoA rows, in the machine's dealt order, padded
+/// with zero slots to a multiple of kWaveLanes so the DFT lanes never run
+/// short. The wave triple is held as two's-complement phase multipliers.
+struct WaveRows {
+  std::size_t size = 0;  ///< real slots; the rows are padded past it
+  std::vector<std::uint64_t> n[3];
+  std::vector<double> a, s, c;  ///< a_n, S_n, C_n, normalized
+
+  void assign(std::span<const WaveSlot> slots);
+};
+
+/// The IDFT summation tree over the rows: pipeline p sums the slots before
+/// pipe_end[p], chip c the pipelines before chip_end[c], the machine the
+/// chips, each level from +0 in order. Empty pipelines and chips are left
+/// out: the +0 they add changes no sum that started at +0.
+struct SumTree {
+  std::vector<std::uint32_t> pipe_end;
+  std::vector<std::uint32_t> chip_end;
+};
+
+/// DFT lanes: slots [begin, end) of `rows` (begin a multiple of
+/// kWaveLanes), each slot's S+C and S-C summed in particle order into
+/// out[slot - begin]. Returns the products that saturated.
+std::uint64_t dft_lanes(const TrigUnit& trig, const WaveRows& rows,
+                        std::size_t begin, std::size_t end,
+                        std::span<const WineParticle> particles,
+                        DftAccumulator* out);
+
+/// IDFT lanes: up to kWaveLanes particles, each summed over `rows` through
+/// `tree` into out[k]. Returns the products that saturated.
+std::uint64_t idft_lanes(const TrigUnit& trig, const WaveRows& rows,
+                         const SumTree& tree,
+                         std::span<const WineParticle> particles, Vec3* out);
+
+/// One pipeline on its own (a one-pipeline, one-chip machine); Wine2System
+/// runs the same lane kernels over the flattened slots of every pipeline.
 class Pipeline {
  public:
   /// `trig` is the shared sin/cos unit (one per system; pipelines hold a
   /// reference so a 2,240-chip machine does not replicate the table).
   Pipeline(const WineFormats& formats, const TrigUnit& trig);
 
-  // Movable so pipelines can live in a std::vector; the op counters are
-  // atomics (see below) and are carried over by value.
-  Pipeline(Pipeline&& o) noexcept
-      : trig_(o.trig_),
-        waves_(std::move(o.waves_)),
-        phase_mask_(o.phase_mask_),
-        ops_(o.ops_.load(std::memory_order_relaxed)),
-        saturations_(o.saturations_.load(std::memory_order_relaxed)) {}
-  Pipeline& operator=(Pipeline&& o) noexcept {
-    trig_ = o.trig_;
-    waves_ = std::move(o.waves_);
-    phase_mask_ = o.phase_mask_;
-    ops_.store(o.ops_.load(std::memory_order_relaxed),
-               std::memory_order_relaxed);
-    saturations_.store(o.saturations_.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-    return *this;
-  }
-
-  void load_waves(std::vector<WaveSlot> waves);
-  std::size_t wave_count() const { return waves_.size(); }
-  std::span<const WaveSlot> waves() const { return waves_; }
+  void load_waves(const std::vector<WaveSlot>& waves);
+  std::size_t wave_count() const { return rows_.size; }
 
   /// DFT mode over a particle stream; returns one accumulator per loaded
   /// wave. Increments the pair-operation counter by waves * particles.
   std::vector<DftAccumulator> run_dft(std::span<const WineParticle> particles);
 
-  /// Allocation-free DFT: writes one accumulator per loaded wave into `out`
-  /// (out.size() must equal wave_count()). The step loop uses this form.
-  void run_dft_into(std::span<const WineParticle> particles,
-                    std::span<DftAccumulator> out);
-
-  /// The resident slots, which the host writes S_n/C_n into for the IDFT.
-  std::span<WaveSlot> resident_waves() { return waves_; }
-
   /// IDFT mode: the (normalized) force accumulation for one particle,
-  /// summed over this pipeline's waves. Saturations are counted here; the
-  /// wave-particle ops of a pass are counted once by `count_idft_pass`.
-  Vec3 run_idft_particle(const WineParticle& particle) {
-    const Quantizer& prod = trig_->product();
-    std::uint64_t saturated = 0;
-    auto product = [&](double v) {
-      saturated += prod.saturates(v);
-      return prod(v);
-    };
-    Vec3 f;
-    for (const auto& wave : waves_) {
-      double s, c;
-      trig_->sincos(wave_phase(wave, particle), s, c);
-      const double cs = product(wave.c_norm * s);
-      const double sc = product(wave.s_norm * c);
-      const double t = product(wave.a_norm * (cs - sc));
-      // Integer wave components scale the product exactly.
-      f.x += t * wave.n[0];
-      f.y += t * wave.n[1];
-      f.z += t * wave.n[2];
-    }
-    if (saturated) saturations_.fetch_add(saturated, std::memory_order_relaxed);
-    return f;
-  }
-  /// Count one IDFT pass of `particles` streamed particles.
-  void count_idft_pass(std::size_t particles) {
-    ops_.fetch_add(static_cast<std::uint64_t>(waves_.size()) * particles,
-                   std::memory_order_relaxed);
-  }
+  /// summed over this pipeline's waves. Counts saturations (not ops).
+  Vec3 run_idft_particle(const WineParticle& particle);
 
-  std::uint64_t wave_particle_ops() const {
-    return ops_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t wave_particle_ops() const { return ops_; }
   /// Products that fell outside the Q-format range and were clamped
   /// (hardware saturation, sec. 3.4.4).
-  std::uint64_t saturation_count() const {
-    return saturations_.load(std::memory_order_relaxed);
-  }
-  void reset_counter() {
-    ops_.store(0, std::memory_order_relaxed);
-    saturations_.store(0, std::memory_order_relaxed);
-  }
+  std::uint64_t saturation_count() const { return saturations_; }
+  void reset_counter() { ops_ = saturations_ = 0; }
 
-  /// theta(n, particle) as a cyclic phase word (exposed for tests).
+  /// theta(n, particle) as a cyclic phase word (exposed for tests):
+  /// theta/2pi = (n . u) mod 1, a two's complement multiply-accumulate on
+  /// the phase words that wraps for free (the lanes compute the same).
   std::uint64_t wave_phase(const WaveSlot& wave,
                            const WineParticle& particle) const {
-    // theta/2pi = (n_x u_x + n_y u_y + n_z u_z) mod 1: two's complement
-    // multiply-accumulate on the phase words wraps for free.
     std::uint64_t acc = 0;
     for (int axis = 0; axis < 3; ++axis)
-      acc += static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(wave.n[axis]) *
-          static_cast<std::int64_t>(particle.phase[axis]));
+      acc += static_cast<std::uint64_t>(wave.n[axis]) * particle.phase[axis];
     return acc & phase_mask_;
   }
 
  private:
   const TrigUnit* trig_;
-  std::vector<WaveSlot> waves_;
+  WaveRows rows_;
+  SumTree tree_;
   std::uint64_t phase_mask_;
-  /// Atomic (relaxed) because the parallel IDFT streams different particles
-  /// through the same pipeline from several threads; the totals are
-  /// interleaving-independent.
-  std::atomic<std::uint64_t> ops_{0};
-  std::atomic<std::uint64_t> saturations_{0};
+  std::uint64_t ops_ = 0;
+  std::uint64_t saturations_ = 0;
 };
 
 /// Convert a position/charge to the pipeline's particle format.

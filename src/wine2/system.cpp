@@ -31,58 +31,6 @@ double quantize_mantissa(double v, int bits) {
 
 }  // namespace
 
-Chip::Chip(const WineFormats& formats, const TrigUnit& trig) {
-  pipelines_.reserve(kPipelines);
-  for (int p = 0; p < kPipelines; ++p) pipelines_.emplace_back(formats, trig);
-}
-
-void Chip::load_waves(std::span<const WaveSlot> waves) {
-  std::vector<std::vector<WaveSlot>> per_pipeline(kPipelines);
-  for (std::size_t j = 0; j < waves.size(); ++j)
-    per_pipeline[j % kPipelines].push_back(waves[j]);
-  for (int p = 0; p < kPipelines; ++p)
-    pipelines_[p].load_waves(std::move(per_pipeline[p]));
-  occupied_ = static_cast<int>(
-      std::min<std::size_t>(waves.size(), kPipelines));
-}
-
-std::size_t Chip::wave_count() const {
-  std::size_t n = 0;
-  for (const auto& p : pipelines_) n += p.wave_count();
-  return n;
-}
-
-void Chip::run_dft_into(std::span<const WineParticle> particles,
-                        std::span<DftAccumulator> out) {
-  if (out.size() != wave_count())
-    throw std::invalid_argument("Chip: DFT output size mismatch");
-  std::size_t offset = 0;
-  for (auto& p : pipelines_) {
-    p.run_dft_into(particles, out.subspan(offset, p.wave_count()));
-    offset += p.wave_count();
-  }
-}
-
-void Chip::count_idft_pass(std::size_t particles) {
-  for (auto& p : pipelines_) p.count_idft_pass(particles);
-}
-
-std::uint64_t Chip::wave_particle_ops() const {
-  std::uint64_t n = 0;
-  for (const auto& p : pipelines_) n += p.wave_particle_ops();
-  return n;
-}
-
-std::uint64_t Chip::saturation_count() const {
-  std::uint64_t n = 0;
-  for (const auto& p : pipelines_) n += p.saturation_count();
-  return n;
-}
-
-void Chip::reset_counters() {
-  for (auto& p : pipelines_) p.reset_counter();
-}
-
 Wine2System::Wine2System(SystemConfig config) : config_(config) {
   if (config_.clusters < 1 || config_.boards_per_cluster < 1 ||
       config_.chips_per_board < 1)
@@ -90,11 +38,8 @@ Wine2System::Wine2System(SystemConfig config) : config_(config) {
   if (!config_.formats.valid())
     throw std::invalid_argument("Wine2System: bad formats");
   trig_ = std::make_unique<TrigUnit>(config_.formats);
-  const int n_chips = config_.clusters * config_.boards_per_cluster *
-                      config_.chips_per_board;
-  chips_.reserve(n_chips);
-  for (int c = 0; c < n_chips; ++c)
-    chips_.emplace_back(config_.formats, *trig_);
+  chip_count_ = config_.clusters * config_.boards_per_cluster *
+                config_.chips_per_board;
 }
 
 void Wine2System::load_waves(const KVectorTable& table) {
@@ -104,48 +49,39 @@ void Wine2System::load_waves(const KVectorTable& table) {
   for (const auto& kv : table.vectors()) a_max = std::max(a_max, kv.a);
   a_scale_ = power_of_two_scale(a_max);
 
-  // Deal table indices round-robin over chips; remember the order each chip
-  // will report its accumulators in (pipeline-major).
-  const std::size_t n_chips = chips_.size();
+  // Deal table indices round-robin over chips (chip c holds m = c mod
+  // chips), and each chip's j-th slot to pipeline j mod 8. The dealt order
+  // is chip by chip, each chip pipeline by pipeline; the occupied chips and
+  // pipelines are prefixes.
+  const auto n_chips = static_cast<std::size_t>(chip_count_);
+  const std::size_t stride = n_chips * kPipelinesPerChip;
   wave_order_.clear();
-  std::vector<std::vector<std::size_t>> chip_input(n_chips);
-  for (std::size_t m = 0; m < table.size(); ++m)
-    chip_input[m % n_chips].push_back(m);
-  for (std::size_t c = 0; c < n_chips; ++c) {
-    // Chip deals its slots round-robin over 8 pipelines; the output order is
-    // pipeline 0's slots, then pipeline 1's, ...
-    for (int p = 0; p < Chip::kPipelines; ++p)
-      for (std::size_t j = p; j < chip_input[c].size();
-           j += Chip::kPipelines)
-        wave_order_.push_back(chip_input[c][j]);
+  tree_.pipe_end.clear();
+  tree_.chip_end.clear();
+  for (std::size_t c = 0; c < std::min(n_chips, table.size()); ++c) {
+    for (std::size_t p = 0; p < kPipelinesPerChip; ++p) {
+      const std::size_t before = wave_order_.size();
+      for (std::size_t m = c + p * n_chips; m < table.size(); m += stride)
+        wave_order_.push_back(m);
+      if (wave_order_.size() > before)
+        tree_.pipe_end.push_back(
+            static_cast<std::uint32_t>(wave_order_.size()));
+    }
+    tree_.chip_end.push_back(
+        static_cast<std::uint32_t>(tree_.pipe_end.size()));
   }
-
-  occupied_chips_ = std::min(n_chips, table.size());
-  chip_offsets_.assign(n_chips + 1, 0);
-  for (std::size_t c = 0; c < n_chips; ++c)
-    chip_offsets_[c + 1] = chip_offsets_[c] + chip_input[c].size();
 
   // Load the slots: wave triples and a_n (S_n/C_n arrive with the IDFT).
-  for (std::size_t c = 0; c < n_chips; ++c) {
-    std::vector<WaveSlot> slots;
-    slots.reserve(chip_input[c].size());
-    for (const auto m : chip_input[c]) {
-      const auto& kv = table.vectors()[m];
-      WaveSlot slot;
-      slot.n[0] = static_cast<int>(kv.n.x);
-      slot.n[1] = static_cast<int>(kv.n.y);
-      slot.n[2] = static_cast<int>(kv.n.z);
-      slot.a_norm = quantize_mantissa(kv.a / a_scale_,
-                                      config_.formats.coeff_frac_bits);
-      slots.push_back(slot);
-    }
-    chips_[c].load_waves(slots);
+  std::vector<WaveSlot> slots(wave_order_.size());
+  for (std::size_t slot = 0; slot < slots.size(); ++slot) {
+    const auto& kv = table.vectors()[wave_order_[slot]];
+    slots[slot].n[0] = static_cast<int>(kv.n.x);
+    slots[slot].n[1] = static_cast<int>(kv.n.y);
+    slots[slot].n[2] = static_cast<int>(kv.n.z);
+    slots[slot].a_norm =
+        quantize_mantissa(kv.a / a_scale_, config_.formats.coeff_frac_bits);
   }
-  resident_.clear();
-  for (std::size_t c = 0; c < occupied_chips_; ++c)
-    for (int p = 0; p < Chip::kPipelines; ++p)
-      for (auto& slot : chips_[c].pipeline(p).resident_waves())
-        resident_.push_back(&slot);
+  rows_.assign(slots);
 }
 
 void Wine2System::set_particles(std::span<const Vec3> positions,
@@ -154,9 +90,6 @@ void Wine2System::set_particles(std::span<const Vec3> positions,
     throw std::invalid_argument("Wine2System: position/charge size mismatch");
   obs::ScopedPhase host_phase(obs::Phase::kHost);
   MDM_TRACE_SCOPE("wine2.set_particles");
-  const std::size_t boards = static_cast<std::size_t>(config_.clusters) *
-                             config_.boards_per_cluster;
-  (void)boards;
   if (positions.size() > kBoardParticleCapacity)
     throw std::length_error(
         "Wine2System: particle memory capacity exceeded (16 MB SDRAM/board)");
@@ -179,27 +112,22 @@ const StructureFactors& Wine2System::run_dft() {
   MDM_TRACE_SCOPE("wine2.dft");
   const std::uint64_t sat_before = saturation_count();
 
-  // Each chip owns a disjoint range of the shared accumulator array, so
-  // chips run concurrently and the result is bit-identical to the serial
-  // scan. The array is member scratch reused across steps.
-  dft_acc_.resize(wave_order_.size());
-  auto run_chips = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t c = begin; c < end; ++c)
-      chips_[c].run_dft_into(
-          particles_, std::span(dft_acc_).subspan(
-                          chip_offsets_[c], chip_offsets_[c + 1] -
-                                                chip_offsets_[c]));
-  };
-  if (pool_ && pool_->size() > 1) {
-    pool_for(
-        *pool_, occupied_chips_,
-        [&](unsigned, std::size_t begin, std::size_t end) {
-          run_chips(begin, end);
-        },
-        /*min_parallel=*/0);
-  } else {
-    run_chips(0, occupied_chips_);
-  }
+  // Each vector of kWaveLanes slots owns a disjoint range of the shared
+  // accumulator array, so vectors run concurrently and the result is
+  // bit-identical to the serial scan. The array is member scratch reused
+  // across steps.
+  const std::size_t slots = rows_.size;
+  dft_acc_.resize(slots);
+  pool_for_items(pool_, (slots + kWaveLanes - 1) / kWaveLanes,
+                 [&](unsigned, std::size_t begin, std::size_t end) {
+                   const std::size_t b = begin * kWaveLanes;
+                   saturations_.fetch_add(
+                       dft_lanes(*trig_, rows_, b,
+                                 std::min(end * kWaveLanes, slots), particles_,
+                                 dft_acc_.data() + b),
+                       std::memory_order_relaxed);
+                 });
+  ops_ += static_cast<std::uint64_t>(slots) * particles_.size();
 
   sf_.s.resize(kvectors_->size());
   sf_.c.resize(kvectors_->size());
@@ -238,35 +166,32 @@ void Wine2System::run_idft(const StructureFactors& sf,
       QFormat{.int_bits = 2, .frac_bits = config_.formats.coeff_frac_bits});
   for (std::size_t slot = 0; slot < wave_order_.size(); ++slot) {
     const std::size_t m = wave_order_[slot];
-    resident_[slot]->s_norm = coeff(sf.s[m] / sc_scale);
-    resident_[slot]->c_norm = coeff(sf.c[m] / sc_scale);
+    rows_.s[slot] = coeff(sf.s[m] / sc_scale);
+    rows_.c[slot] = coeff(sf.c[m] / sc_scale);
   }
 
   // F_i = (4 k_e q_i / L^4) * a_scale * sc_scale * sum over the machine.
-  // Particles own disjoint force slots, so the loop fans out over the pool
-  // bit-identically to the serial scan (pipelines count saturations in
-  // relaxed atomics; their totals are interleaving-independent).
+  // Each vector of kWaveLanes particles owns its force slots, so vectors
+  // fan out over the pool bit-identically to the serial scan.
   const double pref =
       4.0 * units::kCoulomb / (box_ * box_ * box_ * box_) * a_scale_ *
       sc_scale;
-  auto idft_range = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      Vec3 partial;
-      for (std::size_t c = 0; c < occupied_chips_; ++c)
-        partial += chips_[c].run_idft_particle(particles_[i]);
-      forces[i] += (pref * charges_[i]) * partial;
+  const std::size_t n = particles_.size();
+  auto run_vectors = [&](unsigned, std::size_t begin, std::size_t end) {
+    std::uint64_t saturated = 0;
+    for (std::size_t v = begin; v < end; ++v) {
+      const std::size_t i0 = v * kWaveLanes;
+      const std::size_t len = std::min(kWaveLanes, n - i0);
+      Vec3 partial[kWaveLanes];
+      saturated += idft_lanes(*trig_, rows_, tree_,
+                              std::span(particles_).subspan(i0, len), partial);
+      for (std::size_t k = 0; k < len; ++k)
+        forces[i0 + k] += (pref * charges_[i0 + k]) * partial[k];
     }
+    saturations_.fetch_add(saturated, std::memory_order_relaxed);
   };
-  if (pool_ && pool_->size() > 1) {
-    pool_for(*pool_, particles_.size(),
-             [&](unsigned, std::size_t begin, std::size_t end) {
-               idft_range(begin, end);
-             });
-  } else {
-    idft_range(0, particles_.size());
-  }
-  for (std::size_t c = 0; c < occupied_chips_; ++c)
-    chips_[c].count_idft_pass(particles_.size());
+  pool_for_items(pool_, (n + kWaveLanes - 1) / kWaveLanes, run_vectors);
+  ops_ += static_cast<std::uint64_t>(rows_.size) * n;
 
   auto& reg = obs::Registry::global();
   static obs::Counter& idft_ops = reg.counter("wine2.idft_ops");
@@ -285,20 +210,15 @@ double Wine2System::reciprocal_energy(const StructureFactors& sf) const {
   return units::kCoulomb / (std::numbers::pi * box_ * box_ * box_) * e;
 }
 
-std::uint64_t Wine2System::wave_particle_ops() const {
-  std::uint64_t n = 0;
-  for (const auto& chip : chips_) n += chip.wave_particle_ops();
-  return n;
-}
+std::uint64_t Wine2System::wave_particle_ops() const { return ops_; }
 
 std::uint64_t Wine2System::saturation_count() const {
-  std::uint64_t n = 0;
-  for (const auto& chip : chips_) n += chip.saturation_count();
-  return n;
+  return saturations_.load(std::memory_order_relaxed);
 }
 
 void Wine2System::reset_counters() {
-  for (auto& chip : chips_) chip.reset_counters();
+  ops_ = 0;
+  saturations_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace mdm::wine2

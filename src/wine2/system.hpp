@@ -11,6 +11,7 @@
 /// the pipelines' fixed-point range by powers of two and the scales are
 /// reapplied on download.
 
+#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -31,53 +32,16 @@ struct SystemConfig {
 inline constexpr std::size_t kBoardParticleCapacity =
     16u * 1024 * 1024 / 16;
 
-/// One WINE-2 chip: 8 pipelines sharing the wave set assigned to the chip.
-class Chip {
- public:
-  static constexpr int kPipelines = 8;
-
-  Chip(const WineFormats& formats, const TrigUnit& trig);
-
-  /// Distribute wave slots round-robin over the 8 pipelines.
-  void load_waves(std::span<const WaveSlot> waves);
-  std::size_t wave_count() const;
-
-  /// DFT over the particle stream into `out` (out.size() must equal
-  /// wave_count()), in this chip's wave order (pipeline 0's slots, then
-  /// pipeline 1's, ...). Writes only into `out`, so chips with disjoint
-  /// output ranges can run concurrently.
-  void run_dft_into(std::span<const WineParticle> particles,
-                    std::span<DftAccumulator> out);
-
-  Pipeline& pipeline(int p) { return pipelines_[p]; }
-
-  /// IDFT partial force for one particle over this chip's waves: each
-  /// occupied pipeline's sum, added in pipeline order.
-  Vec3 run_idft_particle(const WineParticle& particle) {
-    Vec3 f;
-    for (int p = 0; p < occupied_; ++p)
-      f += pipelines_[p].run_idft_particle(particle);
-    return f;
-  }
-  /// Count one IDFT pass of `particles` particles on every pipeline.
-  void count_idft_pass(std::size_t particles);
-
-  std::uint64_t wave_particle_ops() const;
-  std::uint64_t saturation_count() const;
-  void reset_counters();
-
- private:
-  std::vector<Pipeline> pipelines_;
-  /// Pipelines holding waves: slots are dealt round-robin, so a prefix.
-  int occupied_ = 0;
-};
+/// Pipelines per WINE-2 chip; a chip deals its wave slots round-robin
+/// over them.
+inline constexpr int kPipelinesPerChip = 8;
 
 class Wine2System {
  public:
   explicit Wine2System(SystemConfig config = {});
 
-  int chip_count() const { return static_cast<int>(chips_.size()); }
-  int pipeline_count() const { return chip_count() * Chip::kPipelines; }
+  int chip_count() const { return chip_count_; }
+  int pipeline_count() const { return chip_count() * kPipelinesPerChip; }
   const SystemConfig& config() const { return config_; }
 
   /// Load the wavenumber table; slots are dealt round-robin across chips.
@@ -109,18 +73,22 @@ class Wine2System {
   std::uint64_t saturation_count() const;
   void reset_counters();
 
-  /// Fan the DFT out over chips and the IDFT over particles on a thread
-  /// pool (nullptr = serial). Chips write disjoint accumulator ranges and
-  /// particles own disjoint force slots, so both passes are bit-identical
-  /// to the serial loops at any pool size.
+  /// Fan the DFT out over vectors of wave slots and the IDFT over vectors
+  /// of particles on a thread pool (nullptr = serial). Slots write disjoint
+  /// accumulators and particles own disjoint force slots, so both passes
+  /// are bit-identical to the serial loops at any pool size.
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
 
  private:
   SystemConfig config_;
+  int chip_count_ = 0;
   std::unique_ptr<TrigUnit> trig_;
-  std::vector<Chip> chips_;
 
   const KVectorTable* kvectors_ = nullptr;
+  /// The resident slots of every pipeline, flattened in dealt order (chip
+  /// by chip, each chip pipeline by pipeline), and the IDFT tree over them.
+  WaveRows rows_;
+  SumTree tree_;
   std::vector<std::size_t> wave_order_;  ///< table index per dealt slot
   double a_scale_ = 1.0;
 
@@ -130,11 +98,8 @@ class Wine2System {
   std::vector<double> charges_;
 
   ThreadPool* pool_ = nullptr;
-  /// Chips holding waves: slots are dealt round-robin, so a prefix. Empty
-  /// chips add +0 to every partial, so the passes skip them exactly.
-  std::size_t occupied_chips_ = 0;
-  std::vector<std::size_t> chip_offsets_;  ///< first dealt slot per chip
-  std::vector<WaveSlot*> resident_;  ///< the pipeline slot of each dealt slot
+  std::uint64_t ops_ = 0;
+  std::atomic<std::uint64_t> saturations_{0};
   /// Per-step scratch, reused across steps.
   std::vector<DftAccumulator> dft_acc_;
   StructureFactors sf_;

@@ -7,8 +7,7 @@
 namespace mdm::wine2 {
 
 TrigUnit::TrigUnit(const WineFormats& formats)
-    : formats_(formats),
-      trig_(QFormat{.int_bits = 2, .frac_bits = formats.trig_frac_bits}),
+    : trig_(QFormat{.int_bits = 2, .frac_bits = formats.trig_frac_bits}),
       product_(QFormat{.int_bits = 2, .frac_bits = formats.product_frac_bits}) {
   if (!formats.valid()) throw std::invalid_argument("TrigUnit: bad formats");
   const std::size_t entries = std::size_t{1} << formats.table_bits;
@@ -23,6 +22,7 @@ TrigUnit::TrigUnit(const WineFormats& formats)
   rem_mask_ = (std::uint64_t{1} << index_shift_) - 1;
   quarter_ = std::uint64_t{1} << (formats.phase_bits - 2);
   rem_scale_ = std::ldexp(1.0, -index_shift_);
+  shifter_ = trig_.shifter_rounds() && product_.shifter_rounds();
 }
 
 std::uint64_t coordinate_phase(double x, double box, int phase_bits) {

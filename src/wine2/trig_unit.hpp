@@ -6,6 +6,7 @@
 /// turn (the natural output of the cyclic inner-product multiplier), so
 /// quadrant handling is implicit in the table.
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -19,33 +20,44 @@ class TrigUnit {
   explicit TrigUnit(const WineFormats& formats);
 
   /// sin(2 pi * phase / 2^phase_bits), quantized to the trig format.
-  double sine(std::uint64_t phase) const { return lookup(phase); }
+  double sine(std::uint64_t phase) const {
+    return shifter_ ? lookup<true>(phase) : lookup<false>(phase);
+  }
   /// cos(2 pi * phase / 2^phase_bits) via the quarter-turn phase shift.
-  double cosine(std::uint64_t phase) const { return lookup(phase + quarter_); }
-  /// Both at once, as the pipeline consumes them.
+  double cosine(std::uint64_t phase) const { return sine(phase + quarter_); }
+  /// Both at once, as the pipeline lanes consume them; kShifter must be
+  /// shifter_rounds() (the lane kernels hoist it out of their loops).
+  template <bool kShifter>
   void sincos(std::uint64_t phase, double& s, double& c) const {
-    s = lookup(phase);
-    c = lookup(phase + quarter_);
+    s = lookup<kShifter>(phase);
+    c = lookup<kShifter>(phase + quarter_);
   }
 
-  const WineFormats& formats() const { return formats_; }
   /// The product register format (the interpolation weight's, and the
   /// pipelines' products). One per system, shared by every pipeline.
   const Quantizer& product() const { return product_; }
+  /// Whether both the trig and the product words fit the 52-bit shifter
+  /// (Quantizer::round<true>); otherwise every rounding takes the exact
+  /// wide path, which gives the same bits for the narrow word too.
+  bool shifter_rounds() const { return shifter_; }
 
  private:
+  template <bool kShifter>
   double lookup(std::uint64_t phase) const {
     phase &= phase_mask_;
     const std::uint64_t idx = phase >> index_shift_;
     const std::uint64_t rem = phase & rem_mask_;
-    // Interpolation weight in the product format; rem / 2^shift is exact
-    // as a multiply by 2^-shift.
-    const double w = product_(static_cast<double>(rem) * rem_scale_);
+    // rem < 2^52 converts exactly as the double with IEEE bits 2^52 + rem,
+    // less 2^52 (a branch-free form every ISA vectorizes). Interpolation
+    // weight in the product format: rem / 2^shift is exact as a multiply
+    // by 2^-shift.
+    const double remd =
+        std::bit_cast<double>(rem | 0x4330000000000000ull) - 0x1p52;
+    const double w = product_.round<kShifter>(remd * rem_scale_);
     const double t0 = table_[idx];
-    return trig_(t0 + w * (table_[idx + 1] - t0));
+    return trig_.round<kShifter>(t0 + w * (table_[idx + 1] - t0));
   }
 
-  WineFormats formats_;
   Quantizer trig_;
   Quantizer product_;
   std::vector<double> table_;  ///< quantized sin at 2^table_bits + 1 knots
@@ -54,6 +66,7 @@ class TrigUnit {
   std::uint64_t quarter_;
   int index_shift_;
   double rem_scale_;  ///< 2^-index_shift
+  bool shifter_;
 };
 
 /// Quantize a position coordinate to an unsigned phase fraction (used for

@@ -456,6 +456,32 @@ TEST(FaultTolerance, BoardFailureDegradesGracefully) {
   }
 }
 
+TEST(FaultTolerance, BoardFailureIsANoOpOnTheNativeBackend) {
+  // Native ranks carry no MDGRAPE-2 boards: an injected board loss is
+  // logged and ignored, and the trajectory is the fault-free one.
+  const auto sys = initial_state(2, 9);
+  auto cfg = app_config(sys, 4, 2, 2, 3);
+  cfg.backend = Backend::kNative;
+  host::MdmParallelApp baseline_app(cfg);
+  const auto baseline = baseline_app.run(sys);
+
+  FaultInjector injector;
+  injector.add_rule({.kind = FaultRule::Kind::kFailBoard, .rank = 1,
+                     .board = 0, .step = 1});
+  auto faulty_cfg = cfg;
+  faulty_cfg.fault_injector = &injector;
+  const auto board_failures = counter("mdgrape2.board_failures");
+  host::MdmParallelApp faulty_app(faulty_cfg);
+  const auto faulty = faulty_app.run(sys);
+  EXPECT_EQ(counter("mdgrape2.board_failures"), board_failures);
+  ASSERT_EQ(faulty.positions.size(), baseline.positions.size());
+  for (std::size_t i = 0; i < baseline.positions.size(); ++i) {
+    EXPECT_EQ(faulty.positions[i].x, baseline.positions[i].x) << i;
+    EXPECT_EQ(faulty.positions[i].y, baseline.positions[i].y) << i;
+    EXPECT_EQ(faulty.positions[i].z, baseline.positions[i].z) << i;
+  }
+}
+
 TEST(FaultTolerance, AllBoardsFailedIsAnErrorNotAHang) {
   const auto sys = initial_state(2, 9);
   auto cfg = app_config(sys, 2, 1, 1, 1);
