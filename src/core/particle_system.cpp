@@ -25,6 +25,12 @@ void ParticleSystem::add_particle(int type, const Vec3& position,
   type_.push_back(type);
 }
 
+void ParticleSystem::clear_particles() {
+  position_.clear();
+  velocity_.clear();
+  type_.clear();
+}
+
 double ParticleSystem::total_charge() const {
   double q = 0.0;
   for (std::size_t i = 0; i < size(); ++i) q += charge(i);

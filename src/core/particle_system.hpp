@@ -34,6 +34,8 @@ class ParticleSystem {
   /// Append a particle of species `type` (positions wrapped into the box).
   void add_particle(int type, const Vec3& position,
                     const Vec3& velocity = {});
+  /// Remove every particle (species and capacity stay).
+  void clear_particles();
 
   std::size_t size() const { return position_.size(); }
   double box() const { return box_; }

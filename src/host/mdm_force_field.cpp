@@ -63,11 +63,27 @@ ForceResult MdmForceField::add_forces(const ParticleSystem& system,
     throw std::invalid_argument("MdmForceField: box mismatch");
   if (!passes_built_) build_passes(system);
 
-  // 1. Host -> MDGRAPE-2: upload particle image, run the force passes.
+  // 1. Host -> MDGRAPE-2: upload particle image, run the force passes and,
+  //    on sampling steps, the potential passes, all in one sweep. The
+  //    expensive potential passes run every `potential_interval`
+  //    evaluations (sec. 5 samples the potential every 100 steps); in
+  //    between the cached values are reported.
+  const bool sample_potential =
+      evaluations_ % config_.potential_interval == 0;
+  ++evaluations_;
   mdgrape_.load_particles(system, config_.ewald.r_cut);
-  mdgrape_.run_force_pass(coulomb_force_pass_, forces);
+  targets_.clear();
+  targets_.push_back({&coulomb_force_pass_, forces, {}});
   for (const auto& pass : tf_force_passes_)
-    mdgrape_.run_force_pass(pass, forces);
+    targets_.push_back({&pass, forces, {}});
+  if (sample_potential) {
+    per_particle_scratch_.assign(system.size(), 0.0);
+    short_range_scratch_.assign(system.size(), 0.0);
+    targets_.push_back({&coulomb_potential_pass_, {}, per_particle_scratch_});
+    for (const auto& pass : tf_potential_passes_)
+      targets_.push_back({&pass, {}, short_range_scratch_});
+  }
+  mdgrape_.run_passes(targets_);
 
   // 2. Host -> WINE-2: DFT then IDFT (eqs. 9-11).
   charges_scratch_.resize(system.size());
@@ -80,28 +96,13 @@ ForceResult MdmForceField::add_forces(const ParticleSystem& system,
   const auto& sf = wine_.run_dft();
   wine_.run_idft(sf, forces);
 
-  // 3. Host-side energies. The expensive real-space potential passes run
-  //    every `potential_interval` evaluations (sec. 5 samples the potential
-  //    every 100 steps); in between the cached values are reported.
-  const bool sample_potential =
-      evaluations_ % config_.potential_interval == 0;
-  ++evaluations_;
+  // 3. Host-side energies.
   if (sample_potential) {
-    per_particle_scratch_.assign(system.size(), 0.0);
-    mdgrape_.run_potential_pass(coulomb_potential_pass_, per_particle_scratch_);
-    double real = 0.0;
+    double real = 0.0, short_range = 0.0;
     for (const double p : per_particle_scratch_) real += p;
+    for (const double p : short_range_scratch_) short_range += p;
     potential_.real_space = 0.5 * real;  // both-sides double counting
-
-    potential_.short_range = 0.0;
-    if (config_.include_tosi_fumi) {
-      short_range_scratch_.assign(system.size(), 0.0);
-      for (const auto& pass : tf_potential_passes_)
-        mdgrape_.run_potential_pass(pass, short_range_scratch_);
-      double total = 0.0;
-      for (const double p : short_range_scratch_) total += p;
-      potential_.short_range = 0.5 * total;
-    }
+    potential_.short_range = 0.5 * short_range;
   }
   // The wavenumber energy is a cheap host-side sum over the structure
   // factors, so it is refreshed every step.

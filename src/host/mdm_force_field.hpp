@@ -102,6 +102,7 @@ class MdmForceField final : public ForceField {
   std::vector<double> charges_scratch_;
   std::vector<double> per_particle_scratch_;
   std::vector<double> short_range_scratch_;
+  std::vector<mdgrape2::PassTarget> targets_;
 };
 
 }  // namespace mdm::host

@@ -331,6 +331,8 @@ class RealProcess {
     mdgrape_.emplace(mdgrape2::SystemConfig{
         .clusters = shared_.config.mdgrape_boards_per_process,
         .boards_per_cluster = 1});
+    local_.emplace(shared_.box);
+    for (const auto& s : shared_.species) local_->add_species(s);
     force_passes_.push_back(mdgrape2::make_coulomb_real_pass(
         beta, shared_.config.ewald.r_cut, shared_.species_charge));
     potential_passes_.push_back(mdgrape2::make_coulomb_real_potential_pass(
@@ -532,31 +534,30 @@ class RealProcess {
       wn_energy_ = comm_.recv_value<double>(real_count(), kWineEnergy);
   }
 
-  /// Emulator real-space pass: owned + halo through the MDGRAPE-2 boards.
+  /// Emulator real-space pass: owned + halo through the MDGRAPE-2 boards,
+  /// every force and potential pass in one sweep into the rank's buffers.
   void compute_real_emulated(const std::vector<PRec>& halo) {
     // Local particle image: owned first, then halo (MDGRAPE-2 j-set).
-    ParticleSystem local(shared_.box);
-    for (const auto& s : shared_.species) local.add_species(s);
-    for (const auto& p : my_) local.add_particle(p.type, p.pos);
-    for (const auto& p : halo) local.add_particle(p.type, p.pos);
-
-    std::vector<Vec3> forces(local.size(), Vec3{});
-    if (local.size() > 0) {
-      mdgrape_->load_particles(local, shared_.config.ewald.r_cut);
+    local_->clear_particles();
+    for (const auto& p : my_) local_->add_particle(p.type, p.pos);
+    for (const auto& p : halo) local_->add_particle(p.type, p.pos);
+    force_buf_.assign(local_->size(), Vec3{});
+    pot_buf_.assign(local_->size(), 0.0);
+    if (local_->size() > 0) {
+      mdgrape_->load_particles(*local_, shared_.config.ewald.r_cut);
+      targets_.clear();
       for (const auto& pass : force_passes_)
-        mdgrape_->run_force_pass(pass, forces);
+        targets_.push_back({&pass, force_buf_, {}});
+      for (const auto& pass : potential_passes_)
+        targets_.push_back({&pass, {}, pot_buf_});
+      mdgrape_->run_passes(targets_);
     }
-    for (std::size_t i = 0; i < my_.size(); ++i) my_[i].force = forces[i];
-
     // Real-space + short-range potential of the owned particles (pair
     // energies are seen from both sides, hence the factor 1/2).
     local_potential_ = 0.0;
-    if (local.size() > 0) {
-      std::vector<double> pot(local.size(), 0.0);
-      for (const auto& pass : potential_passes_)
-        mdgrape_->run_potential_pass(pass, pot);
-      for (std::size_t i = 0; i < my_.size(); ++i)
-        local_potential_ += 0.5 * pot[i];
+    for (std::size_t i = 0; i < my_.size(); ++i) {
+      my_[i].force = force_buf_[i];
+      local_potential_ += 0.5 * pot_buf_[i];
     }
   }
 
@@ -775,6 +776,9 @@ class RealProcess {
   std::optional<mdgrape2::Mdgrape2System> mdgrape_;  ///< emulator backend
   std::vector<mdgrape2::ForcePass> force_passes_;
   std::vector<mdgrape2::ForcePass> potential_passes_;
+  std::optional<ParticleSystem> local_;  ///< emulator j-set, reused
+  std::vector<mdgrape2::PassTarget> targets_;
+  std::vector<double> pot_buf_;
   // Native backend (DESIGN.md §11): fused one-sided kernel plus reusable
   // SoA mirror and scratch, so the steady state stays allocation-free.
   std::unique_ptr<native::NativeRealKernel> native_kernel_;

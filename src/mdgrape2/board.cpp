@@ -14,19 +14,19 @@ void Board::load_particles(std::span<const StoredParticle> particles,
   cells_ = &cells;
 }
 
-void Board::load_pass(const ForcePass& pass) {
-  for (auto& chip : chips_) chip.load_pass(pass);
-}
-
-template <typename T>
-void Board::calc_cells(std::span<const StoredParticle> i_batch,
+void Board::calc_cells(std::span<const LanePass> passes,
+                       const KeepBounds& keep,
+                       std::span<const StoredParticle> i_batch,
                        std::span<const int> i_cells, double box,
-                       std::span<T> out, JLanes& lanes) {
+                       std::span<Vec3> sums, std::span<PairCount> counts,
+                       JLanes& lanes) {
   if (failed_)
     throw std::logic_error("Board: pass issued to a failed board");
   if (particles_.empty() && !i_batch.empty())
     throw std::logic_error("Board: particle memory not loaded");
-  if (i_batch.size() != i_cells.size() || i_batch.size() != out.size())
+  const std::size_t np = passes.size();
+  if (i_batch.size() != i_cells.size() ||
+      i_batch.size() * np != sums.size() || counts.size() != np)
     throw std::invalid_argument("Board: batch size mismatch");
   // The cell-index counter: the 27 contiguous particle-memory ranges
   // around i's cell, in scan order. The i-batch is cell-sorted, so they
@@ -44,16 +44,10 @@ void Board::calc_cells(std::span<const StoredParticle> i_batch,
       }
       lanes.stage(streams);
     }
-    chips_[k % kChips].calc(i_batch[k], lanes, box, out[k]);
+    chips_[k % kChips].calc(passes, keep, i_batch[k], lanes, box,
+                            sums.data() + k * np, counts.data());
   }
 }
-
-template void Board::calc_cells(std::span<const StoredParticle>,
-                                std::span<const int>, double,
-                                std::span<Vec3>, JLanes&);
-template void Board::calc_cells(std::span<const StoredParticle>,
-                                std::span<const int>, double,
-                                std::span<double>, JLanes&);
 
 std::uint64_t Board::pair_operations() const {
   std::uint64_t total = 0;

@@ -47,17 +47,14 @@ class Board {
   void mark_failed() { failed_ = true; }
   bool failed() const { return failed_; }
 
-  /// Load the pass into both chips (MR1SetTable).
-  void load_pass(const ForcePass& pass);
-
-  /// Compute forces (or potentials in a potential-mode pass) for the given
-  /// i-particles via the 27-cell scan. `i_cells[k]` is the cell id of
-  /// i_batch[k]. Accumulates into `out` (one Vec3 force or double
-  /// potential per i-particle). `lanes` is the caller's staging scratch
-  /// (one per thread running boards).
-  template <typename T>
-  void calc_cells(std::span<const StoredParticle> i_batch,
-                  std::span<const int> i_cells, double box, std::span<T> out,
+  /// Run every pass for the given i-particles via the 27-cell scan.
+  /// `i_cells[k]` is the cell id of i_batch[k], whose sum of pass p is set
+  /// at sums[k * passes.size() + p]; `counts[p]` grows by pass p's work.
+  /// `lanes` is the caller's staging scratch (one per thread).
+  void calc_cells(std::span<const LanePass> passes, const KeepBounds& keep,
+                  std::span<const StoredParticle> i_batch,
+                  std::span<const int> i_cells, double box,
+                  std::span<Vec3> sums, std::span<PairCount> counts,
                   JLanes& lanes);
 
   const Chip& chip(int k) const { return chips_[k]; }

@@ -37,15 +37,12 @@ class Chip {
                    std::span<const StoredParticle> j_stream, double box,
                    std::span<Vec3> forces);
 
-  /// One i-particle against the j's staged in `j` (the board's 27 cells),
-  /// each stream summed on its own and added to `force` (or, in a
-  /// potential-mode pass, `potential`) in stream order.
-  void calc(const StoredParticle& i, JLanes& j, double box, Vec3& force) {
-    count(pipelines_[0].accumulate_force(i, j, box, force));
-  }
-  void calc(const StoredParticle& i, JLanes& j, double box,
-            double& potential) {
-    count(pipelines_[0].accumulate_potential(i, j, box, potential));
+  /// One i-particle against the j's staged in `j` (the board's 27 cells)
+  /// for every pass (sweep_passes).
+  void calc(std::span<const LanePass> passes, const KeepBounds& keep,
+            const StoredParticle& i, JLanes& j, double box, Vec3* sums,
+            PairCount* counts) {
+    count(sweep_passes(passes, keep, i, j, box, sums, counts));
   }
 
   /// --- neighbor-list RAM -------------------------------------------------

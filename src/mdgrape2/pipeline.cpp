@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
-#include <type_traits>
 
 #include "util/lane_isa.hpp"
 
@@ -39,117 +39,143 @@ static_assert(kCoordBits == 40);
 /// Kept pairs evaluated per round, into stack lanes no table read aliases.
 constexpr std::size_t kEvalChunk = 64;
 
-/// Both pipeline modes against the staged j's, in three lane stages:
-///  * filter: one loop over every staged j takes the displacement
-///    (sign-extended word -> double -> float), r^2 and x = a r^2 in single
-///    precision and flags the pairs inside the table domain;
-///  * compact: the in-domain pairs in staged order, with each stream's end
-///    among them. A pair outside the domain evaluates to g = 0 and adds a
-///    signed zero, which leaves a sum that started at +0 bit for bit
-///    unchanged (no IEEE sum is -0 unless both terms are);
-///  * evaluate: the function evaluator and the b g q (r_vec) products of
-///    the kept pairs.
-/// Each stream's terms are then summed in j order in double precision (the
-/// chip's accumulator; float to double is exact), and each stream's sum is
-/// added to `out` in stream order.
+/// One pass over the kept lanes: x = a r^2, the exact table-domain mask,
+/// the useful count and b g q (r_vec). A kept pair outside this pass's
+/// domain has g masked to 0 and adds a signed zero, which leaves a sum
+/// that started at +0 bit for bit unchanged (no IEEE sum is -0 unless both
+/// terms are). Each stream's terms are summed in j order in double
+/// precision (the chip's accumulator; float to double is exact) and the
+/// stream sums in stream order into `total` (a potential in .x).
 template <bool kPotential>
-[[gnu::always_inline]] inline PairCount sweep(
-    const ForcePass* pass, const StoredParticle& i, JLanes& j, double box,
-    std::conditional_t<kPotential, double, Vec3>& out) {
-  using Sum = std::conditional_t<kPotential, double, Vec3>;
-  if (!pass || pass->table.empty())
-    throw std::logic_error("Pipeline: no pass loaded");
-  const SegmentedTable& table = pass->table;
+[[gnu::always_inline]] inline std::size_t evaluate(const ForcePass& pass,
+                                                   int i_type, JLanes& j,
+                                                   std::size_t kept,
+                                                   Vec3& total) {
+  const SegmentedTable& table = pass.table;
+  const float x_max = static_cast<float>(table.config().x_max);
+  // j's stored charge, or 1 (an exact no-op multiply): a bit blend under a
+  // loop-invariant mask, which vectorizes where a select would not.
+  const std::uint32_t charge_mask = pass.use_particle_charge ? ~0u : 0u;
+  const std::uint32_t one = std::bit_cast<std::uint32_t>(1.0f) & ~charge_mask;
   float a_row[kMaxAtomTypes], b_row[kMaxAtomTypes];
   for (int t = 0; t < kMaxAtomTypes; ++t) {
-    a_row[t] = static_cast<float>(pass->coefficients.a[i.type][t]);
-    b_row[t] = static_cast<float>(pass->coefficients.b[i.type][t]);
+    a_row[t] = static_cast<float>(pass.coefficients.a[i_type][t]);
+    b_row[t] = static_cast<float>(pass.coefficients.b[i_type][t]);
   }
-  const float x_max = static_cast<float>(table.config().x_max);
-  const std::size_t n = j.x.size();
+  float terms[3][kEvalChunk];
   std::size_t useful = 0;
-  // Restrict-qualified output lanes, so the stores need no alias checks.
+  Vec3 out{}, sum{};
+  std::size_t s = 0;
+  for (std::size_t base = 0; base < kept; base += kEvalChunk) {
+    const std::size_t len = std::min(kEvalChunk, kept - base);
+    for (std::size_t e = 0; e < len; ++e) {  // evaluate lanes
+      const std::size_t k = base + e;
+      const float r2 = j.kr2[k];
+      const float x = a_row[j.ktype[k]] * r2;
+      const std::uint32_t in = (x > 0.0f) & (x < x_max);  // in_domain
+      // Potential mode skips r = 0 outright (self-interaction guard).
+      useful += kPotential ? (r2 != 0.0f) & (x < x_max) : in;
+      // Out-of-domain lanes read the table at a clamped x, then mask g.
+      const float g = std::bit_cast<float>(
+          std::bit_cast<std::uint32_t>(table.interpolate(std::min(x, x_max))) &
+          (0u - in));
+      const float q = std::bit_cast<float>(
+          (std::bit_cast<std::uint32_t>(j.kcharge[k]) & charge_mask) | one);
+      const float bg = b_row[j.ktype[k]] * g * q;
+      terms[0][e] = kPotential ? bg : bg * j.kdx[k];
+      terms[1][e] = bg * j.kdy[k];
+      terms[2][e] = bg * j.kdz[k];
+    }
+    for (std::size_t e = 0; e < len; ++e) {
+      // Close every stream that ends before kept pair base + e.
+      for (; j.kept_end[s] == base + e; ++s, sum = Vec3{}) out += sum;
+      sum.x += static_cast<double>(terms[0][e]);
+      if constexpr (!kPotential) {
+        sum.y += static_cast<double>(terms[1][e]);
+        sum.z += static_cast<double>(terms[2][e]);
+      }
+    }
+  }
+  for (; s < j.kept_end.size(); ++s, sum = Vec3{}) out += sum;
+  total = out;
+  return useful;
+}
+
+/// Every pass against the staged j's for one i. One filter loop over the
+/// staged set takes the displacement (sign-extended word -> double ->
+/// float) and r^2 in single precision and keeps the pairs below i's bound;
+/// a scalar compaction lists the kept pairs in staged order, with each
+/// stream's end, and one gather copies their lanes contiguously; then one
+/// evaluate loop per pass.
+[[gnu::always_inline]] inline PairCount sweep(std::span<const LanePass> passes,
+                                              const KeepBounds& keep,
+                                              const StoredParticle& i,
+                                              JLanes& j, double box,
+                                              Vec3* sums, PairCount* counts) {
+  const std::size_t n = j.x.size();
+  const float bound = keep[i.type];
   [&](float* __restrict dx, float* __restrict dy, float* __restrict dz,
-      float* __restrict arg, std::uint32_t* __restrict in) {
+      float* __restrict r2, std::uint32_t* __restrict in) {
     for (std::size_t k = 0; k < n; ++k) {  // filter lanes
-      // Single-precision datapath from here to the multiply by r_vec.
       dx[k] = static_cast<float>(delta_lsbs(i.position.x, j.x[k]) * box *
                                  kCoordLsb);
       dy[k] = static_cast<float>(delta_lsbs(i.position.y, j.y[k]) * box *
                                  kCoordLsb);
       dz[k] = static_cast<float>(delta_lsbs(i.position.z, j.z[k]) * box *
                                  kCoordLsb);
-      const float r2 = dx[k] * dx[k] + dy[k] * dy[k] + dz[k] * dz[k];
-      const float x = a_row[j.type[k]] * r2;
-      arg[k] = x;
-      in[k] = (x > 0.0f) & (x < x_max);  // SegmentedTable::in_domain
-      // Potential mode skips r = 0 outright (self-interaction guard).
-      useful += kPotential ? (r2 != 0.0f) & (x < x_max) : in[k];
+      r2[k] = dx[k] * dx[k] + dy[k] * dy[k] + dz[k] * dz[k];
+      in[k] = r2[k] < bound;
     }
-  }(j.dx.data(), j.dy.data(), j.dz.data(), j.arg.data(), j.in.data());
-  const std::size_t streams = j.stream_end.size();
+  }(j.dx.data(), j.dy.data(), j.dz.data(), j.r2.data(), j.in.data());
   std::size_t kept = 0;
-  for (std::size_t s = 0, k = 0; s < streams; ++s) {
+  for (std::size_t s = 0, k = 0; s < j.stream_end.size(); ++s) {
     for (; k < j.stream_end[s]; ++k) {
       j.kept[kept] = static_cast<std::uint32_t>(k);
       kept += j.in[k];
     }
     j.kept_end[s] = static_cast<std::uint32_t>(kept);
   }
-  // j's stored charge, or 1 (an exact no-op multiply): a bit blend under a
-  // loop-invariant mask, which vectorizes where a select would not.
-  const std::uint32_t charge_mask = pass->use_particle_charge ? ~0u : 0u;
-  const std::uint32_t one = std::bit_cast<std::uint32_t>(1.0f) & ~charge_mask;
-  float terms[3][kEvalChunk];
-  Sum sum{};
-  std::size_t s = 0;
-  for (std::size_t base = 0; base < kept; base += kEvalChunk) {
-    const std::size_t len = std::min(kEvalChunk, kept - base);
-    for (std::size_t e = 0; e < len; ++e) {  // evaluate lanes
-      const std::uint32_t k = j.kept[base + e];
-      const float q = std::bit_cast<float>(
-          (std::bit_cast<std::uint32_t>(j.charge[k]) & charge_mask) | one);
-      const float bg = b_row[j.type[k]] * table.interpolate(j.arg[k]) * q;
-      terms[0][e] = kPotential ? bg : bg * j.dx[k];
-      terms[1][e] = bg * j.dy[k];
-      terms[2][e] = bg * j.dz[k];
+  [&](const std::uint32_t* __restrict idx, float* __restrict kdx,
+      float* __restrict kdy, float* __restrict kdz, float* __restrict kr2,
+      std::int32_t* __restrict ktype, float* __restrict kcharge) {
+    for (std::size_t e = 0; e < kept; ++e) {
+      kdx[e] = j.dx[idx[e]];
+      kdy[e] = j.dy[idx[e]];
+      kdz[e] = j.dz[idx[e]];
+      kr2[e] = j.r2[idx[e]];
+      ktype[e] = j.type[idx[e]];
+      kcharge[e] = j.charge[idx[e]];
     }
-    for (std::size_t e = 0; e < len; ++e) {
-      // Close every stream that ends before kept pair base + e.
-      for (; j.kept_end[s] == base + e; ++s, sum = Sum{}) out += sum;
-      if constexpr (kPotential) {
-        sum += static_cast<double>(terms[0][e]);
-      } else {
-        sum.x += static_cast<double>(terms[0][e]);
-        sum.y += static_cast<double>(terms[1][e]);
-        sum.z += static_cast<double>(terms[2][e]);
-      }
-    }
+  }(j.kept.data(), j.kdx.data(), j.kdy.data(), j.kdz.data(), j.kr2.data(),
+    j.ktype.data(), j.kcharge.data());
+  PairCount all;
+  for (std::size_t p = 0; p < passes.size(); ++p) {
+    const ForcePass& pass = *passes[p].pass;
+    const PairCount c{
+        n, passes[p].potential
+               ? evaluate<true>(pass, i.type, j, kept, sums[p])
+               : evaluate<false>(pass, i.type, j, kept, sums[p])};
+    counts[p] += c;
+    all += c;
   }
-  for (; s < streams; ++s, sum = Sum{}) out += sum;
-  return {n, useful};
+  return all;
 }
 
-// One function per ISA and mode, each inlining the same source.
-#define MDM_MDGRAPE2_LANE_VARIANT(isa, attr)                              \
-  attr PairCount force_##isa(const ForcePass* pass, const StoredParticle& i, \
-                             JLanes& j, double box, Vec3& out) {          \
-    return sweep<false>(pass, i, j, box, out);                            \
-  }                                                                       \
-  attr PairCount potential_##isa(const ForcePass* pass,                   \
-                                 const StoredParticle& i, JLanes& j,      \
-                                 double box, double& out) {               \
-    return sweep<true>(pass, i, j, box, out);                             \
+// One function per ISA, each inlining the same source.
+#define MDM_MDGRAPE2_LANE_VARIANT(isa, attr)                                \
+  attr PairCount sweep_##isa(std::span<const LanePass> passes,              \
+                             const KeepBounds& keep, const StoredParticle& i, \
+                             JLanes& j, double box, Vec3* sums,             \
+                             PairCount* counts) {                           \
+    return sweep(passes, keep, i, j, box, sums, counts);                    \
   }
 MDM_MDGRAPE2_LANE_VARIANT(baseline, )
 MDM_MDGRAPE2_LANE_VARIANT(avx2, MDM_TARGET_AVX2)
 MDM_MDGRAPE2_LANE_VARIANT(avx512, MDM_TARGET_AVX512)
 #undef MDM_MDGRAPE2_LANE_VARIANT
 
-constexpr decltype(&force_baseline) kForce[3] = {force_baseline, force_avx2,
-                                                 force_avx512};
-constexpr decltype(&potential_baseline) kPotential[3] = {
-    potential_baseline, potential_avx2, potential_avx512};
+constexpr decltype(&sweep_baseline) kSweep[3] = {sweep_baseline, sweep_avx2,
+                                                 sweep_avx512};
 
 }  // namespace
 
@@ -176,7 +202,8 @@ void JLanes::stage(Streams streams) {
 void JLanes::resize(std::size_t n, bool reserve_only) {
   auto fit = [&](auto& v) { reserve_only ? v.reserve(n) : v.resize(n); };
   fit(x), fit(y), fit(z), fit(type), fit(charge), fit(dx), fit(dy), fit(dz);
-  fit(arg), fit(in), fit(kept);
+  fit(r2), fit(in), fit(kept), fit(kdx), fit(kdy), fit(kdz), fit(kr2);
+  fit(kcharge), fit(ktype);
 }
 
 CyclicCoord to_cyclic(const Vec3& r, double box) {
@@ -190,15 +217,72 @@ Vec3 cyclic_delta(const CyclicCoord& a, const CyclicCoord& b, double box) {
           delta_lsbs(a.z, b.z) * box * kCoordLsb};
 }
 
-PairCount Pipeline::accumulate_force(const StoredParticle& i, JLanes& j,
-                                     double box, Vec3& force) const {
-  return lane_variant(kForce)(pass_, i, j, box, force);
+KeepBounds keep_bounds(std::span<const LanePass> passes,
+                       std::uint32_t j_types) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  KeepBounds keep{};
+  for (const LanePass& lp : passes) {
+    if (!lp.pass || lp.pass->table.empty())
+      throw std::logic_error("Pipeline: no pass loaded");
+    const double x_max = static_cast<float>(lp.pass->table.config().x_max);
+    for (int it = 0; it < kMaxAtomTypes; ++it) {
+      // The smallest positive a bounds the domain r^2 < x_max / a; in
+      // potential mode an a <= 0 makes every r > 0 useful.
+      float a_min = kInf;
+      bool unbounded = false;
+      for (int t = 0; t < kMaxAtomTypes; ++t) {
+        const float a = static_cast<float>(lp.pass->coefficients.a[it][t]);
+        if (!(j_types >> t & 1u)) continue;
+        if (a > 0.0f) a_min = std::min(a_min, a);
+        unbounded |= lp.potential && !(a > 0.0f);
+      }
+      const double r2 = x_max / a_min * (1.0 + 0x1p-20);
+      float bound = unbounded ? kInf : static_cast<float>(r2);
+      if (bound < r2) bound = std::nextafter(bound, kInf);  // round up
+      keep[it] = std::max(keep[it], bound);
+    }
+  }
+  return keep;
 }
 
-PairCount Pipeline::accumulate_potential(const StoredParticle& i, JLanes& j,
-                                         double box,
-                                         double& potential) const {
-  return lane_variant(kPotential)(pass_, i, j, box, potential);
+PairCount sweep_passes(std::span<const LanePass> passes,
+                       const KeepBounds& keep, const StoredParticle& i,
+                       JLanes& j, double box, Vec3* sums, PairCount* counts) {
+  return lane_variant(kSweep)(passes, keep, i, j, box, sums, counts);
+}
+
+void Pipeline::load(const ForcePass* pass) {
+  pass_ = pass;
+  // The potential-mode bound keeps a superset of the force-mode one.
+  if (pass && !pass->table.empty()) keep_ = keep_bounds({{{pass, true}}});
+}
+
+Vec3 Pipeline::run(bool potential, const StoredParticle& i,
+                   std::span<const StoredParticle> j_stream, double box,
+                   PairCount& count) {
+  const LanePass lp{pass_, potential};
+  if (!pass_ || pass_->table.empty())
+    throw std::logic_error("Pipeline: no pass loaded");
+  lanes_.stage({&j_stream, 1});
+  Vec3 sum;
+  sweep_passes({&lp, 1}, keep_, i, lanes_, box, &sum, &count);
+  return sum;
+}
+
+PairCount Pipeline::accumulate_force(const StoredParticle& i,
+                                     std::span<const StoredParticle> j_stream,
+                                     double box, Vec3& force) {
+  PairCount count;
+  force += run(false, i, j_stream, box, count);
+  return count;
+}
+
+PairCount Pipeline::accumulate_potential(
+    const StoredParticle& i, std::span<const StoredParticle> j_stream,
+    double box, double& potential) {
+  PairCount count;
+  potential += run(true, i, j_stream, box, count).x;
+  return count;
 }
 
 }  // namespace mdm::mdgrape2

@@ -16,6 +16,7 @@
 /// suppressed by the x <= 0 rule of the function evaluator for forces and
 /// by an explicit r^2 == 0 guard in potential mode.
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -85,51 +86,63 @@ struct JLanes {
   std::vector<std::int32_t> type;
   std::vector<float> charge;
   std::vector<std::uint32_t> stream_end;  ///< end of each stream's run
-  // Per-i filter output: displacement, x = a r^2, in-domain flag.
-  std::vector<float> dx, dy, dz, arg;
+  // Per-i filter output: displacement, r^2 and the keep flag.
+  std::vector<float> dx, dy, dz, r2;
   std::vector<std::uint32_t> in;
-  // The in-domain pairs, compacted in staged order, and the end of each
-  // stream's run among them.
+  // The kept pairs in staged order, the end of each stream's run among
+  // them, and their lanes gathered contiguously.
   std::vector<std::uint32_t> kept, kept_end;
+  std::vector<float> kdx, kdy, kdz, kr2, kcharge;
+  std::vector<std::int32_t> ktype;
 
  private:
   void resize(std::size_t n, bool reserve_only = false);
 };
 
-/// One pipeline. Stateless except for the loaded pass (table +
-/// coefficients) and the lanes its stream overloads stage into;
-/// `accumulate` runs the staged j's against one i-particle. With several
-/// streams (the board's 27 cells) each stream is summed on its own and
-/// added to the accumulator in stream order, exactly as one call per stream
-/// would.
+/// One pass of a fused sweep, read in place, and the mode it runs in.
+struct LanePass {
+  const ForcePass* pass = nullptr;
+  bool potential = false;  ///< sum b g(a r^2) scalars instead of forces
+};
+
+/// Per i-type, the r^2 below which a fused sweep keeps a pair: a superset
+/// of every pass's table domain and useful predicate over the j-types set
+/// in `j_types` (DESIGN.md §3). Throws std::logic_error on an empty table.
+using KeepBounds = std::array<float, kMaxAtomTypes>;
+KeepBounds keep_bounds(std::span<const LanePass> passes,
+                       std::uint32_t j_types = ~0u);
+
+/// One i against the staged j's for every pass: one filter, one compaction
+/// and one evaluate loop per pass. Sets `sums[p]` to pass p's sum (a
+/// potential in .x), bit for bit that of the pass run alone, and adds its
+/// work to `counts[p]`; returns the work of all passes.
+PairCount sweep_passes(std::span<const LanePass> passes,
+                       const KeepBounds& keep, const StoredParticle& i,
+                       JLanes& j, double box, Vec3* sums, PairCount* counts);
+
+/// One pipeline: a loaded pass run over the j-stream it is given (the
+/// one-pass sweep), staged into its own lanes.
 class Pipeline {
  public:
-  void load(const ForcePass* pass) { pass_ = pass; }
+  void load(const ForcePass* pass);
   bool loaded() const { return pass_ != nullptr; }
 
   /// Force mode: add sum_j b_ij g(a r^2) r_vec to `force` (double accum).
-  PairCount accumulate_force(const StoredParticle& i, JLanes& j, double box,
-                             Vec3& force) const;
-  /// Potential mode: add sum_j b_ij g(a r^2) to `potential`.
-  PairCount accumulate_potential(const StoredParticle& i, JLanes& j,
-                                 double box, double& potential) const;
-
-  /// The same over one j-stream, staged into the pipeline's own lanes.
   PairCount accumulate_force(const StoredParticle& i,
                              std::span<const StoredParticle> j_stream,
-                             double box, Vec3& force) {
-    lanes_.stage({&j_stream, 1});
-    return accumulate_force(i, lanes_, box, force);
-  }
+                             double box, Vec3& force);
+  /// Potential mode: add sum_j b_ij g(a r^2) to `potential`.
   PairCount accumulate_potential(const StoredParticle& i,
                                  std::span<const StoredParticle> j_stream,
-                                 double box, double& potential) {
-    lanes_.stage({&j_stream, 1});
-    return accumulate_potential(i, lanes_, box, potential);
-  }
+                                 double box, double& potential);
 
  private:
+  Vec3 run(bool potential, const StoredParticle& i,
+           std::span<const StoredParticle> j_stream, double box,
+           PairCount& count);
+
   const ForcePass* pass_ = nullptr;
+  KeepBounds keep_{};
   JLanes lanes_;
 };
 

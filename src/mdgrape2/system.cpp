@@ -63,10 +63,12 @@ void Mdgrape2System::load_particles(const ParticleSystem& system,
   stored_.resize(order.size());
   original_index_.assign(order.begin(), order.end());
   cell_of_slot_.resize(order.size());
+  types_loaded_ = 0;
   for (std::size_t slot = 0; slot < order.size(); ++slot) {
     const auto p = order[slot];
     stored_[slot].position = to_cyclic(system.positions()[p], box_);
     stored_[slot].type = system.type(p);
+    types_loaded_ |= 1u << (system.type(p) % kMaxAtomTypes);
   }
   for (int c = 0; c < cells_->cell_count(); ++c) {
     const auto range = cells_->cell_range(c);
@@ -111,27 +113,32 @@ PassStats Mdgrape2System::run_force_pass(const ForcePass& pass,
                                          std::span<Vec3> forces) {
   if (pass.potential_mode)
     throw std::invalid_argument("Mdgrape2System: pass is potential-mode");
-  MDM_TRACE_SCOPE("mdgrape2.force_pass");
-  return run_pass(pass, forces, slot_forces_);
+  const PassTarget target{&pass, forces, {}};
+  return run_passes({&target, 1})[0];
 }
 
 PassStats Mdgrape2System::run_potential_pass(const ForcePass& pass,
                                              std::span<double> potentials) {
   if (!pass.potential_mode)
     throw std::invalid_argument("Mdgrape2System: pass is force-mode");
-  MDM_TRACE_SCOPE("mdgrape2.potential_pass");
-  return run_pass(pass, potentials, slot_potentials_);
+  const PassTarget target{&pass, {}, potentials};
+  return run_passes({&target, 1})[0];
 }
 
-template <typename T>
-PassStats Mdgrape2System::run_pass(const ForcePass& pass, std::span<T> out,
-                                   std::vector<T>& slot_out) {
+std::span<const PassStats> Mdgrape2System::run_passes(
+    std::span<const PassTarget> targets) {
   if (!cells_) throw std::logic_error("Mdgrape2System: particles not loaded");
-  if (out.size() != stored_.size())
-    throw std::invalid_argument("Mdgrape2System: output array size mismatch");
+  const std::size_t n = stored_.size();
+  passes_.clear();
+  for (const PassTarget& t : targets) {
+    const bool potential = t.pass && t.pass->potential_mode;
+    if ((potential ? t.potentials.size() : t.forces.size()) != n)
+      throw std::invalid_argument("Mdgrape2System: output array size mismatch");
+    passes_.push_back({t.pass, potential});
+  }
+  MDM_TRACE_SCOPE("mdgrape2.passes");
   obs::ScopedPhase real_phase(obs::Phase::kRealSpace);
 
-  const std::size_t n = stored_.size();
   alive_boards_.clear();
   for (std::size_t b = 0; b < boards_.size(); ++b)
     if (!boards_[b]->failed()) alive_boards_.push_back(b);
@@ -140,10 +147,10 @@ PassStats Mdgrape2System::run_pass(const ForcePass& pass, std::span<T> out,
     throw std::runtime_error(
         "Mdgrape2System: every board has failed; no hardware left to run "
         "the pass");
-  pass_ = pass;  // the one copy every chip reads
-  slot_out.assign(n, T{});
-  board_pairs_.assign(boards_.size(), 0);
-  board_useful_.assign(boards_.size(), 0);
+  const KeepBounds keep = keep_bounds(passes_, types_loaded_);
+  const std::size_t np = passes_.size();
+  slot_sums_.resize(n * np);
+  board_counts_.assign(boards_.size() * np, PairCount{});
 
   // Each alive board owns a contiguous i-slice (block partition over
   // cell-sorted slots) and is fully self-contained, so boards run
@@ -157,35 +164,43 @@ PassStats Mdgrape2System::run_pass(const ForcePass& pass, std::span<T> out,
   for (auto& lanes : lanes_) lanes.reserve(n);
   auto run_board = [&](std::size_t k, JLanes& lanes) {
     const std::size_t b = alive_boards_[k];
-    Board& board = *boards_[b];
-    const std::uint64_t before = board.pair_operations();
-    const std::uint64_t useful_before = board.useful_pair_operations();
-    board.load_pass(pass_);
     const std::size_t begin = k * n / nb;
     const std::size_t end = (k + 1) * n / nb;
     if (begin == end) return;
-    board.calc_cells(std::span(stored_).subspan(begin, end - begin),
-                     std::span(cell_of_slot_).subspan(begin, end - begin),
-                     box_, std::span(slot_out).subspan(begin, end - begin),
-                     lanes);
-    board_pairs_[b] = board.pair_operations() - before;
-    board_useful_[b] = board.useful_pair_operations() - useful_before;
+    boards_[b]->calc_cells(
+        passes_, keep, std::span(stored_).subspan(begin, end - begin),
+        std::span(cell_of_slot_).subspan(begin, end - begin), box_,
+        std::span(slot_sums_).subspan(begin * np, (end - begin) * np),
+        std::span(board_counts_).subspan(b * np, np), lanes);
   };
   pool_for_items(pool_, nb, [&](unsigned w, std::size_t begin,
                                 std::size_t end) {
     for (std::size_t b = begin; b < end; ++b) run_board(b, lanes_[w]);
   });
 
-  PassStats stats;
-  for (std::size_t b = 0; b < boards_.size(); ++b) {
-    stats.pair_operations += board_pairs_[b];
-    stats.useful_pairs += board_useful_[b];
-    stats.max_board_pairs = std::max(stats.max_board_pairs, board_pairs_[b]);
+  stats_.assign(np, PassStats{});
+  for (std::size_t p = 0; p < np; ++p) {
+    for (std::size_t b = 0; b < boards_.size(); ++b) {
+      const PairCount& c = board_counts_[b * np + p];
+      stats_[p].pair_operations += c.evaluated;
+      stats_[p].useful_pairs += c.useful;
+      stats_[p].max_board_pairs =
+          std::max<std::uint64_t>(stats_[p].max_board_pairs, c.evaluated);
+    }
+    report_pass(stats_[p], nb < boards_.size());
   }
-  for (std::size_t slot = 0; slot < n; ++slot)
-    out[original_index_[slot]] += slot_out[slot];
-  report_pass(stats, nb < boards_.size());
-  return stats;
+  // Each particle's sums are added in pass order, as one pass at a time.
+  for (std::size_t slot = 0; slot < n; ++slot) {
+    const std::uint32_t i = original_index_[slot];
+    for (std::size_t p = 0; p < np; ++p) {
+      const Vec3& sum = slot_sums_[slot * np + p];
+      if (passes_[p].potential)
+        targets[p].potentials[i] += sum.x;
+      else
+        targets[p].forces[i] += sum;
+    }
+  }
+  return stats_;
 }
 
 std::uint64_t Mdgrape2System::pair_operations() const {

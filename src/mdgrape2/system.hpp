@@ -34,6 +34,15 @@ struct PassStats {
   std::uint64_t max_board_pairs = 0;
 };
 
+/// One pass of a fused run, read in place, and the array its sums are
+/// added to (indexed like the ParticleSystem): `forces` for a force-mode
+/// pass, `potentials` for a potential-mode one.
+struct PassTarget {
+  const ForcePass* pass = nullptr;
+  std::span<Vec3> forces = {};
+  std::span<double> potentials = {};
+};
+
 class Mdgrape2System {
  public:
   explicit Mdgrape2System(SystemConfig config = {});
@@ -56,11 +65,16 @@ class Mdgrape2System {
   /// board. Must be called whenever positions change.
   void load_particles(const ParticleSystem& system, double r_cut);
 
-  /// Run one force pass; adds b g(a r^2) r_vec sums into `forces` (indexed
-  /// like the ParticleSystem). The i-range is partitioned across boards.
+  /// Run every target's pass in one sweep (DESIGN.md §3), with the bits,
+  /// stats and counters of running them one at a time in order. The
+  /// i-range is partitioned across boards. Returns each target's stats,
+  /// valid until the next call.
+  std::span<const PassStats> run_passes(std::span<const PassTarget> targets);
+
+  /// One force pass; adds b g(a r^2) r_vec sums into `forces`.
   PassStats run_force_pass(const ForcePass& pass, std::span<Vec3> forces);
 
-  /// Run one potential pass; adds per-particle scalars into `potentials`.
+  /// One potential pass; adds per-particle scalars into `potentials`.
   PassStats run_potential_pass(const ForcePass& pass,
                                std::span<double> potentials);
 
@@ -81,29 +95,22 @@ class Mdgrape2System {
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
 
  private:
-  /// One pass of either mode over every alive board; `slot_out` is the
-  /// cell-order scratch the boards write into.
-  template <typename T>
-  PassStats run_pass(const ForcePass& pass, std::span<T> out,
-                     std::vector<T>& slot_out);
-
   SystemConfig config_;
   std::vector<std::unique_ptr<Board>> boards_;
   std::unique_ptr<CellList> cells_;
   double cell_side_ = 0.0;  ///< minimum cell side cells_ was built for
   double box_ = 0.0;
-  /// The loaded pass, copied once per pass; every board's chips read it.
-  ForcePass pass_;
   /// Cell-sorted particle image plus the original index of each slot.
   std::vector<StoredParticle> stored_;
   std::vector<std::uint32_t> original_index_;
   std::vector<int> cell_of_slot_;
   ThreadPool* pool_ = nullptr;
-  /// Per-pass scratch, reused across steps (no steady-state allocations).
-  std::vector<Vec3> slot_forces_;
-  std::vector<double> slot_potentials_;
-  std::vector<std::uint64_t> board_pairs_;
-  std::vector<std::uint64_t> board_useful_;
+  std::uint32_t types_loaded_ = 0;  ///< a bit per particle type loaded
+  /// Per-run scratch, reused across steps (no steady-state allocations).
+  std::vector<LanePass> passes_;
+  std::vector<Vec3> slot_sums_;
+  std::vector<PairCount> board_counts_;
+  std::vector<PassStats> stats_;
   std::vector<std::size_t> alive_boards_;
   /// Staging lanes, one per thread running boards.
   std::vector<JLanes> lanes_;

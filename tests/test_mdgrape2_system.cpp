@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "core/lattice.hpp"
@@ -10,7 +11,10 @@
 #include "ewald/ewald.hpp"
 #include "ewald/flops.hpp"
 #include "mdgrape2/api.hpp"
+#include "host/mdm_force_field.hpp"
+#include "util/lane_isa.hpp"
 #include "util/random.hpp"
+#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace mdm::mdgrape2 {
@@ -197,6 +201,170 @@ TEST(Mdgrape2System, ForcesIndependentOfCellMargin) {
   for (const auto& f : results[0]) fscale = std::max(fscale, norm(f));
   for (std::size_t i = 0; i < sys.size(); ++i)
     EXPECT_LT(norm(results[0][i] - results[1][i]), 1e-10 * fscale) << i;
+}
+
+/// Runs `passes` in one fused run_passes call and one pass at a time on two
+/// identical machines (force passes into one array, potential passes into
+/// another, as MdmForceField does) and requires the same bytes, per-pass
+/// stats and pair counters from both.
+void expect_fused_equals_sequential(const ParticleSystem& sys, double r_cut,
+                                    const std::vector<ForcePass>& passes,
+                                    unsigned pool_size,
+                                    int failed_board = -1) {
+  ThreadPool pool(pool_size);
+  Mdgrape2System fused({.clusters = 2, .boards_per_cluster = 2});
+  Mdgrape2System one({.clusters = 2, .boards_per_cluster = 2});
+  for (Mdgrape2System* m : {&fused, &one}) {
+    m->set_thread_pool(&pool);
+    if (failed_board >= 0) m->fail_board(failed_board);
+    m->load_particles(sys, r_cut);
+  }
+  const std::size_t n = sys.size();
+  std::vector<Vec3> forces_fused(n), forces_one(n);
+  std::vector<double> pot_fused(n), pot_one(n);
+  std::vector<PassTarget> targets;
+  for (const auto& pass : passes) {
+    if (pass.potential_mode)
+      targets.push_back({&pass, {}, pot_fused});
+    else
+      targets.push_back({&pass, forces_fused, {}});
+  }
+  const auto stats = fused.run_passes(targets);
+  ASSERT_EQ(stats.size(), passes.size());
+  for (std::size_t p = 0; p < passes.size(); ++p) {
+    const PassStats s = passes[p].potential_mode
+                            ? one.run_potential_pass(passes[p], pot_one)
+                            : one.run_force_pass(passes[p], forces_one);
+    EXPECT_EQ(stats[p].pair_operations, s.pair_operations) << p;
+    EXPECT_EQ(stats[p].useful_pairs, s.useful_pairs) << p;
+    EXPECT_EQ(stats[p].max_board_pairs, s.max_board_pairs) << p;
+  }
+  EXPECT_EQ(std::memcmp(forces_fused.data(), forces_one.data(),
+                        n * sizeof(Vec3)),
+            0);
+  EXPECT_EQ(std::memcmp(pot_fused.data(), pot_one.data(), n * sizeof(double)),
+            0);
+  EXPECT_EQ(fused.pair_operations(), one.pair_operations());
+  EXPECT_EQ(fused.useful_pair_operations(), one.useful_pair_operations());
+}
+
+std::vector<ForcePass> nacl_passes(const ParticleSystem& sys,
+                                   const EwaldParameters& params) {
+  const double beta = params.alpha / sys.box();
+  const double charges[2] = {+1.0, -1.0};
+  std::vector<ForcePass> passes;
+  passes.push_back(make_coulomb_real_pass(beta, params.r_cut, charges));
+  for (auto& p : make_tosi_fumi_passes(TosiFumiParameters::nacl(),
+                                       params.r_cut))
+    passes.push_back(std::move(p));
+  passes.push_back(
+      make_coulomb_real_potential_pass(beta, params.r_cut, charges));
+  for (auto& p : make_tosi_fumi_potential_passes(TosiFumiParameters::nacl(),
+                                                 params.r_cut))
+    passes.push_back(std::move(p));
+  return passes;
+}
+
+TEST(Mdgrape2System, FusedPassesEqualSequentialOnEveryIsaAndPool) {
+  const auto sys = melt_like_crystal(4, 41);
+  const auto params = host::mdm_parameters(double(sys.size()), sys.box());
+  const auto passes = nacl_passes(sys, params);
+  for (const LaneIsa isa : cpu_lane_isas()) {
+    pin_emulator_lane_isa(isa);
+    for (const unsigned pool : {1u, 2u, 4u}) {
+      SCOPED_TRACE(std::string(lane_isa_name(isa)) + " pool " +
+                   std::to_string(pool));
+      expect_fused_equals_sequential(sys, params.r_cut, passes, pool);
+    }
+  }
+  unpin_emulator_lane_isa();
+}
+
+TEST(Mdgrape2System, FusedPassesEqualSequentialOnOddPasses) {
+  const auto sys = melt_like_crystal(3, 42);
+  const auto params = host::mdm_parameters(double(sys.size()), sys.box());
+  auto passes = nacl_passes(sys, params);
+  // Per-particle charges in the datapath.
+  passes[0].use_particle_charge = true;
+  // A potential pass whose a <= 0 entries make every r > 0 useful: its
+  // keep set is unbounded.
+  auto unbounded = passes[5];
+  unbounded.coefficients.a[0][1] = 0.0;
+  unbounded.coefficients.a[1][0] = -1.0;
+  passes.push_back(unbounded);
+  // The unbounded pass keeps every pair: at 3 cells per side each i scans
+  // all N j's, and every unlike pair (r > 0, a <= 0) is useful.
+  {
+    Mdgrape2System machine({.clusters = 1, .boards_per_cluster = 1});
+    machine.load_particles(sys, params.r_cut);
+    ASSERT_EQ(machine.cells_per_side(), 3);
+    std::vector<double> pot(sys.size());
+    const std::uint64_t unlike = sys.size() * sys.size() / 2;
+    EXPECT_GT(machine.run_potential_pass(unbounded, pot).useful_pairs, unlike);
+  }
+  // Passes whose table edge falls on the float neighbours of one real
+  // pair's x = a r^2 (first particle against its nearest image). The a is
+  // picked so that x_max / a rounded to the nearest float is not above r^2:
+  // a keep bound without its upward rounding would drop the pair.
+  const double box = sys.box();
+  const auto c0 = to_cyclic(sys.positions()[0], box);
+  float r2 = 1e30f;
+  for (std::size_t k = 1; k < sys.size(); ++k) {
+    const Vec3 d = cyclic_delta(c0, to_cyclic(sys.positions()[k], box), box);
+    // The datapath's float r^2, each operation rounded explicitly (a
+    // product of floats is exact in double), so no build contracts it.
+    const auto sq = [](double v) {
+      const double f = static_cast<float>(v);
+      return static_cast<double>(static_cast<float>(f * f));
+    };
+    const float r2_k = static_cast<float>(
+        static_cast<float>(sq(d.x) + sq(d.y)) + sq(d.z));
+    if (r2_k > 0.0f) r2 = std::min(r2, r2_k);
+  }
+  float a = 0.0f;
+  for (int k = 0; k < 100000 && a == 0.0f; ++k) {
+    const float trial = static_cast<float>(1.999 / r2 * (1.0 + k * 0x1p-21));
+    const float x = trial * r2;
+    const double above = std::nextafter(x, 1e30f);
+    if (static_cast<float>(above / trial) <= r2) a = trial;
+  }
+  ASSERT_GT(a, 0.0f);
+  const float x = a * r2;
+  std::vector<std::uint64_t> edge_useful;
+  Mdgrape2System machine({.clusters = 1, .boards_per_cluster = 1});
+  machine.load_particles(sys, params.r_cut);
+  for (const float x_max : {std::nextafter(x, 0.0f), x,
+                            std::nextafter(x, 1e30f)}) {
+    for (const bool potential : {false, true}) {
+      ForcePass edge;
+      edge.table = SegmentedTable::fit(
+          potential ? g_born_mayer_potential : g_born_mayer_force,
+          {.x_min = 0.01 * x_max, .x_max = x_max});
+      edge.coefficients.species_count = 2;
+      for (int i = 0; i < 2; ++i)
+        for (int j = 0; j < 2; ++j) {
+          edge.coefficients.a[i][j] = a;
+          edge.coefficients.b[i][j] = 1.0;
+        }
+      edge.potential_mode = potential;
+      std::vector<Vec3> f(sys.size());
+      std::vector<double> pot(sys.size());
+      edge_useful.push_back(potential
+                                ? machine.run_potential_pass(edge, pot)
+                                      .useful_pairs
+                                : machine.run_force_pass(edge, f).useful_pairs);
+      passes.push_back(std::move(edge));
+    }
+  }
+  // The pair (both ways) is inside the domain only when x_max is above x.
+  EXPECT_EQ(edge_useful[2], edge_useful[0]);
+  EXPECT_GE(edge_useful[4], edge_useful[2] + 2);
+  EXPECT_GE(edge_useful[5], edge_useful[3] + 2);
+  for (const unsigned pool : {1u, 3u}) {
+    expect_fused_equals_sequential(sys, params.r_cut, passes, pool);
+    expect_fused_equals_sequential(sys, params.r_cut, passes, pool,
+                                   /*failed_board=*/1);
+  }
 }
 
 TEST(Mdgrape2System, RejectsMisuse) {
